@@ -30,6 +30,7 @@ from .metrics import (
     AXIS_DETUNING,
     ScanAxis,
     ScanGrid,
+    _fmt,
     infidelity,
     scan_2d,
     scan_area,
@@ -73,10 +74,6 @@ def parse_angle(text) -> float:
         ) from None
 
 
-def _fmt(x) -> str:
-    return format(float(x), ".17g")
-
-
 def _matrix_json(m) -> list:
     """Complex matrix as nested [re, im] pairs."""
     return [[[float(z.real), float(z.imag)] for z in row] for row in m]
@@ -98,12 +95,15 @@ def _families(kind: str, orders: list[int], variant: int) -> list[PhaseList]:
 
 
 def _load_config(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as f:
-        text = f.read()
+    with open(path, "rb") as f:
+        data = f.read()
     try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
+        doc = json.loads(data.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ValidationError(f"malformed JSON config {path}: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ValidationError(f"config {path} must hold a JSON object")
+    return doc
 
 
 def _write_text(path, text: str) -> None:

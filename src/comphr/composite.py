@@ -33,14 +33,11 @@ import numpy as np
 from .errors import ValidationError
 from .two_level import (
     DEFAULT_SUBSTEPS,
-    RECTANGULAR,
     Propagator2,
     PulseShape,
-    constant_propagator,
-    identity_propagator,
-    pulse_with_area,
     rectangular,
-    shaped_propagator,
+    star_propagator,
+    time_ordered_product,
 )
 
 BROADBAND = "bb"
@@ -163,10 +160,7 @@ def compose(props: Sequence[Propagator2]) -> Propagator2:
     """Time-ordered product of propagators: the first element acts first."""
     if len(props) == 0:
         raise ValidationError("cannot compose an empty pulse sequence")
-    u = np.array(props[0].u)
-    for p in props[1:]:
-        u = p.u @ u
-    return Propagator2(u)
+    return Propagator2(time_ordered_product(np.stack([p.u for p in props])))
 
 
 def sequence_propagator(seq: GateSequence, area: float, detuning: float = 0.0,
@@ -178,19 +172,9 @@ def sequence_propagator(seq: GateSequence, area: float, detuning: float = 0.0,
     `area` and `detuning` are the dimensionless scan parameters A and
     Delta/Omega.  area = 0 degenerates to the identity.
     """
-    if not np.isfinite(area) or area < 0.0:
-        raise ValidationError("area must be finite and >= 0")
-    if area == 0.0:
-        return identity_propagator()
     if shape is None:
         shape = rectangular()
-    pulses = [pulse_with_area(shape, area, detuning=detuning, phase=phase)
-              for phase in seq.pulse_phases]
-    if shape.kind == RECTANGULAR:
-        props = [constant_propagator(p) for p in pulses]
-    else:
-        props = [shaped_propagator(p, substeps) for p in pulses]
-    return compose(props)
+    return Propagator2(star_propagator((1.0,), seq.pulse_phases, area, detuning, shape, substeps))
 
 
 def composite_phase_gate(family: PhaseList, alpha: float, area: float,
@@ -211,14 +195,37 @@ def family_to_config(family: PhaseList) -> dict:
     return doc
 
 
+def config_number(value, name: str) -> float:
+    """A finite JSON number as a float; strings, bools, NaN and infinities are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(f"{name} must be a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ValidationError(f"{name} must be finite, got {value!r}")
+    return number
+
+
+def config_int(value, name: str) -> int:
+    """An integral JSON number (3 or 3.0, not 3.7, "3" or true) as an int."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    number = config_number(value, name)
+    if not number.is_integer():
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    return int(number)
+
+
 def family_from_config(doc) -> PhaseList:
     """Parse a family descriptor: {"family": "bb", "n": 3} or {..., "variant": 2}."""
     if not isinstance(doc, dict) or "family" not in doc or "n" not in doc:
         raise ValidationError("family descriptor needs 'family' and 'n' keys")
     kind = doc["family"]
-    n = int(doc["n"])
+    n = config_int(doc["n"], "family order n")
     if kind == BROADBAND:
         return bb_phases(n)
     if kind == UNIVERSAL:
-        return universal_phases(n, int(doc.get("variant", 1)))
+        return universal_phases(n, config_int(doc.get("variant", 1), "family variant"))
     raise ValidationError(f"unknown phase family {kind!r}")

@@ -24,15 +24,9 @@ import numpy as np
 
 from .composite import PhaseList, gate_sequence
 from .errors import ValidationError
-from .linalg import expm_hermitian_stack, frobenius_distance, require_square
-from .npod import (
-    HouseholderTarget,
-    NPodSystem,
-    composite_hr,
-    householder_matrix,
-    ms_reduce,
-)
-from .two_level import DEFAULT_SUBSTEPS
+from .linalg import frobenius_distance, require_square
+from .npod import HouseholderTarget, NPodSystem, householder_matrix
+from .two_level import DEFAULT_SUBSTEPS, stack_chunks, star_propagator
 
 AXIS_AREA = "area_over_pi"
 AXIS_DETUNING = "detuning_over_omega"
@@ -132,22 +126,7 @@ def composite_amplitudes(pulse_phases: Sequence[float], areas, detunings) -> np.
     pulses share the same base propagator (one spectral exponential per grid
     point) and differ by their imprinted phases.
     """
-    a, d = np.broadcast_arrays(np.asarray(areas, float), np.asarray(detunings, float))
-    h = np.zeros(a.shape + (2, 2), dtype=complex)
-    h[..., 0, 1] = 0.5
-    h[..., 1, 0] = 0.5
-    h[..., 1, 1] = d
-    base = expm_hermitian_stack(h, a)  # Omega = 1: duration equals area
-    eye = np.zeros_like(base)
-    eye[..., 0, 0] = 1.0
-    eye[..., 1, 1] = 1.0
-    u = eye
-    for phase in pulse_phases:
-        p = base.copy()
-        p[..., 0, 1] *= np.exp(1j * phase)
-        p[..., 1, 0] *= np.exp(-1j * phase)
-        u = p @ u
-    return u
+    return star_propagator((1.0,), pulse_phases, areas, detunings)
 
 
 def _shortcut_infidelity(family: PhaseList, hr_phase: float, areas, detunings) -> np.ndarray:
@@ -176,8 +155,10 @@ def scan_2d(family: PhaseList, hr_phase: float, grid: ScanGrid, *, full: bool = 
 
     The default path evaluates the detuned two-level composite and the
     manifold reconstruction |u00 - e^{i phi}|.  With full=True the given
-    system is propagated through all N+1 levels at every grid point instead
-    (slow; used to cross-check the shortcut).
+    system is propagated through all N+1 levels at every grid point instead,
+    and the manifold block is compared with the target reflection; this
+    cross-checks the shortcut.  The grid is then evaluated in chunks of at
+    most STACK_ELEMENTS propagator elements (see :mod:`comphr.two_level`).
     """
     if grid.axis2 is None:
         raise ValidationError("scan_2d takes a two-dimensional grid")
@@ -190,10 +171,13 @@ def scan_2d(family: PhaseList, hr_phase: float, grid: ScanGrid, *, full: bool = 
     else:
         if system is None:
             raise ValidationError("full-propagation scans need an explicit system")
-        target = householder_matrix(HouseholderTarget(ms_reduce(system).bright, hr_phase))
-        values = np.empty((areas.size, dets.size))
-        for i, area in enumerate(areas):
-            for j, det in enumerate(dets):
-                block = composite_hr(system, family, hr_phase, area, det, substeps)
-                values[i, j] = infidelity(block, target)
+        n = system.n_states
+        target = householder_matrix(HouseholderTarget(system.bright, hr_phase))
+        phases = gate_sequence(family, 2.0 * hr_phase).pulse_phases
+        a, d = (x.reshape(-1) for x in np.meshgrid(areas, dets, indexing="ij"))
+        values = np.empty(a.size)
+        for rows in stack_chunks(a.size, (n + 1) ** 2):
+            u = star_propagator(system.bright, phases, a[rows], d[rows], system.shape, substeps)
+            values[rows] = np.linalg.norm(u[:, :n, :n] - target, axis=(-2, -1))
+        values = values.reshape(areas.size, dets.size)
     return ScanResult(grid=grid, labels=(family.label,), values=values)

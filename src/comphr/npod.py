@@ -30,9 +30,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .composite import GateSequence, PhaseList, gate_sequence
+from .composite import GateSequence, PhaseList, config_number, gate_sequence
 from .errors import ValidationError
-from .linalg import expm_hermitian, expm_hermitian_stack, require_square
+from .linalg import expm_hermitian, require_square
 from .two_level import (
     DEFAULT_SUBSTEPS,
     GAUSSIAN,
@@ -41,6 +41,7 @@ from .two_level import (
     PulseShape,
     gaussian,
     rectangular,
+    star_propagator,
     tabulated,
 )
 
@@ -83,6 +84,11 @@ class NPodSystem:
     @property
     def rms_peak(self) -> float:
         return math.sqrt(sum(c * c for c in self.couplings))
+
+    @property
+    def bright(self) -> np.ndarray:
+        """Normalized coupling vector chi_k e^{i beta_k} / chi."""
+        return np.array(self.couplings) * np.exp(1j * np.array(self.coupling_phases)) / self.rms_peak
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,9 +133,7 @@ def householder_matrix(target: HouseholderTarget) -> np.ndarray:
 
 def ms_reduce(sys: NPodSystem) -> MSReduction:
     """Bright vector, rms Rabi peak, and a deterministic orthonormal dark basis."""
-    chi = np.array(sys.couplings)
-    rms = sys.rms_peak
-    bright = chi * np.exp(1j * np.array(sys.coupling_phases)) / rms
+    bright = sys.bright
     n = sys.n_states
     # Seed the complement from the canonical basis with the largest-|v_k| pivot
     # removed, so the dark basis is reproducible across runs.
@@ -146,7 +150,7 @@ def ms_reduce(sys: NPodSystem) -> MSReduction:
     dark = ortho[1:]
     for w in dark:
         w.setflags(write=False)
-    return MSReduction(rms_peak=rms, bright=bright, dark_basis=tuple(dark))
+    return MSReduction(rms_peak=sys.rms_peak, bright=bright, dark_basis=tuple(dark))
 
 
 def npod_hamiltonian(sys: NPodSystem, pulse_phase: float = 0.0,
@@ -179,38 +183,17 @@ def pulse_propagator(sys: NPodSystem, area: float, pulse_phase: float = 0.0,
     """
     if not np.isfinite(area) or area < 0.0:
         raise ValidationError("area must be finite and >= 0")
-    nsys = _normalized(sys)
-    dim = nsys.n_states + 1
     if area == 0.0:
-        return np.eye(dim, dtype=complex)
-    duration = area / nsys.shape.unit_integral()
-    if nsys.shape.kind == RECTANGULAR:
-        return expm_hermitian(npod_hamiltonian(nsys, pulse_phase, 1.0), duration)
-    if int(substeps) != substeps or substeps < 1:
-        raise ValidationError("substeps must be a positive integer")
-    substeps = int(substeps)
-    mid = (np.arange(substeps) + 0.5) / substeps
-    f = nsys.shape.envelope(mid)
-    h = np.zeros((substeps, dim, dim), dtype=complex)
-    omega = (np.array(nsys.couplings)
-             * np.exp(1j * (np.array(nsys.coupling_phases) + pulse_phase)))
-    h[:, : dim - 1, dim - 1] = 0.5 * f[:, None] * omega
-    h[:, dim - 1, : dim - 1] = np.conj(h[:, : dim - 1, dim - 1])
-    h[:, dim - 1, dim - 1] = nsys.detuning
-    slices = expm_hermitian_stack(h, duration / substeps)
-    u = slices[0]
-    for k in range(1, substeps):
-        u = slices[k] @ u
-    return u
+        return np.eye(sys.n_states + 1, dtype=complex)
+    if sys.shape.kind != RECTANGULAR:
+        return star_propagator(sys.bright, (pulse_phase,), area, sys.detuning, sys.shape, substeps)
+    return expm_hermitian(npod_hamiltonian(_normalized(sys), pulse_phase, 1.0), area)
 
 
 def npod_propagator(sys: NPodSystem, seq: GateSequence, area: float,
                     substeps: int = DEFAULT_SUBSTEPS) -> np.ndarray:
     """Full-system propagator of a composite gate sequence (first pulse acts first)."""
-    u = np.eye(sys.n_states + 1, dtype=complex)
-    for phase in seq.pulse_phases:
-        u = pulse_propagator(sys, area, phase, substeps) @ u
-    return u
+    return star_propagator(sys.bright, seq.pulse_phases, area, sys.detuning, sys.shape, substeps)
 
 
 def manifold_block(u) -> np.ndarray:
@@ -267,11 +250,13 @@ def shape_from_config(doc) -> PulseShape:
     if kind == RECTANGULAR:
         return rectangular()
     if kind == GAUSSIAN:
-        return gaussian(float(doc.get("truncation", 3.0)))
+        return gaussian(config_number(doc.get("truncation", 3.0), "gaussian truncation"))
     if kind == TABULATED:
-        if "samples" not in doc:
-            raise ValidationError("tabulated shape needs a 'samples' list")
-        return tabulated(doc["samples"])
+        samples = doc.get("samples")
+        if not isinstance(samples, list) or not all(
+                isinstance(s, list) and len(s) == 2 for s in samples):
+            raise ValidationError("tabulated shape needs a 'samples' list of [t, f] pairs")
+        return tabulated([[config_number(x, "tabulated sample") for x in s] for s in samples])
     raise ValidationError(f"unknown pulse shape kind {kind!r}")
 
 
@@ -292,12 +277,18 @@ def system_from_config(doc: dict) -> tuple[NPodSystem, HouseholderTarget]:
         raise ValidationError("configuration document must be a JSON object")
     if "couplings" not in doc:
         raise ValidationError("configuration needs a 'couplings' list")
-    couplings = tuple(float(c) for c in doc["couplings"])
-    phases = tuple(float(b) * math.pi
-                   for b in doc.get("coupling_phases", [0.0] * len(couplings)))
+    couplings = _config_numbers(doc["couplings"], "couplings")
+    phases = tuple(b * math.pi for b in _config_numbers(
+        doc.get("coupling_phases", [0.0] * len(couplings)), "coupling_phases"))
     shape = shape_from_config(doc.get("shape", RECTANGULAR))
-    detuning = float(doc.get("detuning", 0.0))
-    hr_phase = float(doc.get("hr_phase", 1.0)) * math.pi
+    detuning = config_number(doc.get("detuning", 0.0), "detuning")
+    hr_phase = config_number(doc.get("hr_phase", 1.0), "hr_phase") * math.pi
     sys = NPodSystem(couplings, phases, shape, detuning)
-    target = HouseholderTarget(ms_reduce(sys).bright, hr_phase)
+    target = HouseholderTarget(sys.bright, hr_phase)
     return sys, target
+
+
+def _config_numbers(value, name: str) -> tuple[float, ...]:
+    if not isinstance(value, list):
+        raise ValidationError(f"{name} must be a list of numbers")
+    return tuple(config_number(x, name) for x in value)

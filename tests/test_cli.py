@@ -134,6 +134,50 @@ def test_hr_malformed_config_is_validation_error(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("overrides", [
+    {"family": {"family": "bb", "n": "three"}},
+    {"family": {"family": "bb", "n": 3.7}},
+    {"family": {"family": "bb", "n": True}},
+    {"family": {"family": "bb", "n": float("inf")}},
+    {"family": {"family": "universal", "n": 5, "variant": "2"}},
+    {"couplings": ["x"]},
+    {"couplings": 5},
+    {"couplings": [3.0, float("nan")]},
+    {"couplings": [3.0, True]},
+    {"coupling_phases": [0.0, None]},
+    {"detuning": float("inf")},
+    {"hr_phase": "pi"},
+    {"shape": {"kind": "gaussian", "truncation": "wide"}},
+    {"shape": {"kind": "tabulated", "samples": [[0.0, 0.0], ["x", 1.0]]}},
+    {"shape": {"kind": "tabulated", "samples": 3}},
+])
+def test_hr_mistyped_config_value_is_validation_error(tmp_path, capsys, overrides):
+    cfg = tmp_path / "sys.json"
+    write_config(cfg, **overrides)  # json writes NaN and Infinity literals
+    code, _, err = run(capsys, "hr", "--config", str(cfg))
+    assert code == 2
+    assert err.startswith("error: ")
+
+
+def test_hr_integral_float_order_is_accepted(tmp_path, capsys):
+    cfg = tmp_path / "sys.json"
+    write_config(cfg)
+    code, expected, _ = run(capsys, "hr", "--config", str(cfg), "--area", "0.9pi")
+    write_config(cfg, family={"family": "bb", "n": 3.0})
+    code_float, out, _ = run(capsys, "hr", "--config", str(cfg), "--area", "0.9pi")
+    assert code == code_float == 0
+    assert out == expected
+
+
+@pytest.mark.parametrize("data", [b"[1, 2]", b"5", b'"bb"', b"\xff{}"])
+def test_hr_config_that_is_not_a_json_object_is_validation_error(tmp_path, capsys, data):
+    cfg = tmp_path / "sys.json"
+    cfg.write_bytes(data)
+    code, _, err = run(capsys, "hr", "--config", str(cfg))
+    assert code == 2
+    assert "config" in err
+
+
 def test_hr_missing_config_is_io_error(tmp_path, capsys):
     code, _, _ = run(capsys, "hr", "--config", str(tmp_path / "nope.json"))
     assert code == 3

@@ -1,8 +1,11 @@
 """Infidelity metrics, the analytic broadband law, and the scan drivers."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from comphr import two_level
 from comphr import (
     AXIS_AREA,
     AXIS_DETUNING,
@@ -144,6 +147,29 @@ def test_scan_2d_full_mode_agrees_with_shortcut():
     sys = random_system(3, seed=7)
     full = scan_2d(fam, PI, grid, full=True, system=sys)
     assert np.max(np.abs(fast.values - full.values)) <= 1e-9
+
+
+def traced_peak(run):
+    """Result of run() and the peak of memory traced while it ran, in bytes."""
+    tracemalloc.start()
+    try:
+        return run(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_full_scan_memory_is_bounded_by_the_stack_chunk(monkeypatch):
+    system = random_system(50, seed=4)
+    grid = ScanGrid(ScanAxis(AXIS_AREA, 0.5, 1.5, 15), ScanAxis(AXIS_DETUNING, -1.0, 1.0, 15))
+    fam = universal_phases(5, 2)
+    chunk = 1 << 16
+    assert 15 * 15 * 51 ** 2 >= 8 * chunk  # the unchunked stack holds >= 8 chunks
+    whole, whole_peak = traced_peak(lambda: scan_2d(fam, PI, grid, full=True, system=system))
+    monkeypatch.setattr(two_level, "STACK_ELEMENTS", chunk)
+    chunked, chunked_peak = traced_peak(lambda: scan_2d(fam, PI, grid, full=True, system=system))
+    chunk_bytes = 16 * chunk
+    assert chunked_peak <= 8 * chunk_bytes < whole_peak
+    assert np.max(np.abs(chunked.values - whole.values)) <= 1e-13
 
 
 def test_scan_2d_validation():

@@ -24,6 +24,7 @@ from comphr import (
     random_system,
     rectangular,
     sequence_propagator,
+    star_propagator,
     system_from_config,
     system_to_config,
     unitarity_defect,
@@ -167,6 +168,23 @@ def test_single_resonant_2pi_pulse_is_standard_reflection():
     v = ms_reduce(sys).bright
     m = householder_matrix(HouseholderTarget(v, PI))
     assert np.max(np.abs(manifold_block(u) - m)) <= 1e-12
+
+
+def test_batched_propagator_matches_pulse_by_pulse_products():
+    # Reference: one exponential of the phased generator per pulse and grid point.
+    sys = random_system(3, seed=29)
+    seq = gate_sequence(universal_phases(5, 2), PI)
+    areas = np.array([0.0, 0.7 * PI, PI, 1.6 * PI])
+    dets = np.array([-1.3, 0.0, 0.4])
+    grid = star_propagator(sys.bright, seq.pulse_phases, areas[:, None], dets[None, :])
+    assert grid.shape == (4, 3, 4, 4)
+    for i, area in enumerate(areas):
+        for j, det in enumerate(dets):
+            run = replace(sys, detuning=float(det))
+            expected = np.eye(4, dtype=complex)
+            for phase in seq.pulse_phases:
+                expected = pulse_propagator(run, float(area), phase) @ expected
+            assert np.max(np.abs(grid[i, j] - expected)) <= 1e-12
 
 
 def test_dark_states_are_spectators():

@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+from comphr import two_level
 from comphr import (
     PulseSpec,
     ValidationError,
     apply_phase,
     constant_propagator,
+    expm_hermitian,
     gaussian,
     pulse_with_area,
     rectangular,
@@ -217,3 +219,20 @@ def test_shaped_validation():
         shaped_propagator(p, 0)
     with pytest.raises(ValidationError):
         shaped_propagator(p, 100, window=(0.5, 0.5))
+
+
+@pytest.mark.parametrize("substeps", [1, 2, 7, 1000])
+@pytest.mark.parametrize("stack_elements", [1 << 20, 27])
+def test_slice_product_matches_sequential_product(monkeypatch, substeps, stack_elements):
+    # 27 elements hold three 3x3 slices: groups of three (each with an odd
+    # element out) and, for 7 and 1000 slices, a one-slice tail group.
+    monkeypatch.setattr(two_level, "STACK_ELEMENTS", stack_elements)
+    rng = np.random.default_rng(substeps)
+    m = rng.standard_normal((substeps, 3, 3)) + 1j * rng.standard_normal((substeps, 3, 3))
+    h = 0.5 * (m + m.conj().swapaxes(-1, -2))
+    dt = 0.37
+    u = two_level.slice_product(lambda first, last: h[first:last], substeps, dt, 9)
+    expected = expm_hermitian(h[0], dt)
+    for k in range(1, substeps):
+        expected = expm_hermitian(h[k], dt) @ expected
+    assert np.max(np.abs(u - expected)) <= 1e-13
