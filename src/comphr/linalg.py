@@ -9,6 +9,9 @@ argument.
 
 from __future__ import annotations
 
+import ctypes
+import threading
+
 import numpy as np
 
 from .errors import ValidationError
@@ -16,6 +19,72 @@ from .errors import ValidationError
 # Constructed matrices must be symmetric to round-off; anything worse is a bug
 # in the caller, not noise.
 HERMITICITY_TOL = 1e-12
+
+
+def _openblas_thread_control():
+    """(get, set) of the OpenBLAS thread count behind numpy.linalg, or None.
+
+    numpy.linalg's extension module links the BLAS that numpy calls, and a
+    symbol lookup on its handle also searches that library.  The names are
+    those of numpy's bundled OpenBLAS (prefixed ``scipy_``, with or without
+    64-bit integers) and of a plain OpenBLAS; any other BLAS is left alone.
+    """
+    try:
+        from numpy.linalg import _umath_linalg
+
+        lib = ctypes.CDLL(_umath_linalg.__file__)
+    except (ImportError, OSError, AttributeError):
+        return None
+    for prefix in ("scipy_openblas", "openblas"):
+        for suffix in ("64_", ""):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                return get, put
+    return None
+
+
+class _SerialBlas:
+    """Context manager that runs its body with one BLAS thread.
+
+    The matrices here are too small for BLAS threads to pay: a threaded
+    51x51 eigh or matmul saves at most a fraction of a millisecond when the
+    second core is idle.  When another process holds that core, each call
+    waits for a preempted worker, and the workers spin for a while after
+    every call.  That halved the throughput of shaped gates on a 2-vCPU host
+    with one busy neighbour and made it swing from run to run.  Re-entrant
+    and thread-safe: the thread count is set to 1 when the first user enters
+    and restored when the last one leaves.  A no-op if numpy's BLAS is not
+    OpenBLAS.
+    """
+
+    def __init__(self):
+        self._control = _openblas_thread_control()
+        self._lock = threading.Lock()
+        self._users = 0
+        self._saved = 1
+
+    def __enter__(self):
+        if self._control is not None:
+            with self._lock:
+                if self._users == 0:
+                    get, put = self._control
+                    self._saved = get()
+                    put(1)
+                self._users += 1
+        return self
+
+    def __exit__(self, *exc):
+        if self._control is not None:
+            with self._lock:
+                self._users -= 1
+                if self._users == 0:
+                    self._control[1](self._saved)
+        return False
+
+
+#: Shared instance; propagator kernels run inside ``with SERIAL_BLAS:``.
+SERIAL_BLAS = _SerialBlas()
 
 
 def as_matrix(m, name: str = "matrix") -> np.ndarray:
@@ -53,7 +122,8 @@ def expm_hermitian(h, t: float) -> np.ndarray:
     t = float(t)
     if not np.isfinite(t):
         raise ValidationError("time must be finite")
-    return expm_hermitian_stack(a, t)
+    with SERIAL_BLAS:
+        return expm_hermitian_stack(a, t)
 
 
 def expm_hermitian_stack(h: np.ndarray, t) -> np.ndarray:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import expm_hermitian, expm_hermitian_stack, unitarity_defect
+from .linalg import SERIAL_BLAS, expm_hermitian, expm_hermitian_stack, unitarity_defect
 
 RECTANGULAR = "rectangular"
 GAUSSIAN = "gaussian"
@@ -317,7 +317,7 @@ def star_propagator(bright, pulse_phases, areas, detunings=0.0,
     conjugation D u D^dagger with D = diag(e^{ip}, ..., e^{ip}, 1), applied
     as an elementwise rescale, so each pulse after the first costs one
     batched matmul.  The grid is evaluated in chunks whose stacks stay within
-    STACK_ELEMENTS elements.
+    STACK_ELEMENTS elements, on one BLAS thread (see linalg.SERIAL_BLAS).
     """
     coupling = np.asarray(bright, dtype=complex).reshape(-1)
     norm = float(np.linalg.norm(coupling))
@@ -338,18 +338,21 @@ def star_propagator(bright, pulse_phases, areas, detunings=0.0,
     durations = (a / shape.unit_integral()).reshape(-1)
     dets = d.reshape(-1)
     parts = []
-    for rows in stack_chunks(durations.size, count * dim * dim):
-        if sliced:
-            det = dets[rows, None]
+    with SERIAL_BLAS:
+        for rows in stack_chunks(durations.size, count * dim * dim):
+            if sliced:
+                det = dets[rows, None]
 
-            def generators(first, last):
-                mid = (np.arange(first, last) + 0.5) / count
-                return _star_generators(coupling, shape.envelope(mid), det)
+                def generators(first, last):
+                    mid = (np.arange(first, last) + 0.5) / count
+                    return _star_generators(coupling, shape.envelope(mid), det)
 
-            u = slice_product(generators, count, durations[rows, None] / count, det.size * dim * dim)
-        else:
-            u = expm_hermitian_stack(_star_generators(coupling, 1.0, dets[rows]), durations[rows])
-        parts.append(_pulse_train(u, phases))
+                u = slice_product(generators, count, durations[rows, None] / count,
+                                  det.size * dim * dim)
+            else:
+                u = expm_hermitian_stack(_star_generators(coupling, 1.0, dets[rows]),
+                                         durations[rows])
+            parts.append(_pulse_train(u, phases))
     return (parts[0] if len(parts) == 1 else np.concatenate(parts)).reshape(a.shape + (dim, dim))
 
 

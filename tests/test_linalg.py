@@ -88,3 +88,51 @@ def test_unitarity_defect_examples():
     assert unitarity_defect(np.diag([2.0, 1.0])) == pytest.approx(3.0)
     with pytest.raises(ValidationError):
         unitarity_defect(np.zeros((2, 3)))
+
+
+def _blas_threads():
+    from comphr import linalg
+
+    if linalg.SERIAL_BLAS._control is None:
+        pytest.skip("numpy's BLAS is not OpenBLAS")
+    return linalg.SERIAL_BLAS._control
+
+
+def test_serial_blas_nests_and_restores_on_error():
+    from comphr.linalg import SERIAL_BLAS
+
+    get, put = _blas_threads()
+    before = get()
+    put(2)
+    try:
+        with pytest.raises(RuntimeError):
+            with SERIAL_BLAS:
+                with SERIAL_BLAS:
+                    assert get() == 1
+                assert get() == 1
+                raise RuntimeError
+        assert get() == 2
+    finally:
+        put(before)
+
+
+def test_propagator_kernels_run_on_one_blas_thread(monkeypatch):
+    from comphr import linalg, two_level
+
+    get, put = _blas_threads()
+    before = get()
+    seen = []
+    original = linalg.expm_hermitian_stack
+
+    def spy(h, t):
+        seen.append(get())
+        return original(h, t)
+
+    monkeypatch.setattr(two_level, "expm_hermitian_stack", spy)
+    monkeypatch.setattr(linalg, "expm_hermitian_stack", spy)
+    h = random_hermitian(np.random.default_rng(5), 51)
+    u = two_level.star_propagator(np.ones(50), (0.0, 1.0), np.pi)
+    v = expm_hermitian(h, 0.3)
+    assert seen == [1, 1]
+    assert get() == before
+    assert unitarity_defect(u) < 1e-12 and unitarity_defect(v) < 1e-12
