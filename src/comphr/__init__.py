@@ -9,7 +9,6 @@ from .composite import (
     GateSequence,
     PhaseList,
     bb_phases,
-    compose,
     composite_phase_gate,
     family_from_config,
     family_to_config,
@@ -26,7 +25,6 @@ from .metrics import (
     ScanGrid,
     ScanResult,
     bb_infidelity_analytic,
-    composite_amplitudes,
     infidelity,
     scan_2d,
     scan_area,
@@ -49,14 +47,9 @@ from .npod import (
 from .two_level import (
     Propagator2,
     PulseShape,
-    PulseSpec,
-    apply_phase,
-    constant_propagator,
     gaussian,
-    pulse_with_area,
     rectangular,
     resonant_propagator,
-    shaped_propagator,
     star_propagator,
     tabulated,
 )
@@ -73,19 +66,14 @@ __all__ = [
     "PhaseList",
     "Propagator2",
     "PulseShape",
-    "PulseSpec",
     "ScanAxis",
     "ScanGrid",
     "ScanResult",
     "ValidationError",
-    "apply_phase",
     "bb_infidelity_analytic",
     "bb_phases",
-    "compose",
-    "composite_amplitudes",
     "composite_hr",
     "composite_phase_gate",
-    "constant_propagator",
     "expm_hermitian",
     "family_from_config",
     "family_to_config",
@@ -99,14 +87,12 @@ __all__ = [
     "npod_hamiltonian",
     "npod_propagator",
     "pulse_propagator",
-    "pulse_with_area",
     "random_system",
     "rectangular",
     "resonant_propagator",
     "scan_2d",
     "scan_area",
     "sequence_propagator",
-    "shaped_propagator",
     "star_propagator",
     "system_from_config",
     "system_to_config",

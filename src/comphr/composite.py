@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
@@ -37,11 +36,15 @@ from .two_level import (
     PulseShape,
     rectangular,
     star_propagator,
-    time_ordered_product,
 )
 
 BROADBAND = "bb"
 UNIVERSAL = "universal"
+
+#: Largest broadband order n.  A gate runs 2n pulses; orders up to 19 are
+#: tested, and the bound keeps an order from a flag or a config from asking
+#: for millions of phases.
+MAX_ORDER = 999
 
 # Universal composite-pulse phase lists, in multiples of pi.  Two published
 # solutions exist for n = 5 and n = 7 (variant picks one).
@@ -105,10 +108,13 @@ class PhaseList:
 def bb_phases(n: int) -> PhaseList:
     """Broadband phases phi_k = k(k-1)*pi/n, k = 1..n, reduced modulo 2*pi.
 
-    n must be odd and positive; n = 1 is the bare single pulse (phase 0).
+    n must be odd, positive and at most MAX_ORDER; n = 1 is the bare single
+    pulse (phase 0).
     """
     if int(n) != n or n < 1 or n % 2 == 0:
         raise ValidationError(f"n must be odd and positive, got {n}")
+    if n > MAX_ORDER:
+        raise ValidationError(f"n must be at most {MAX_ORDER}, got {n}")
     n = int(n)
     fractions = tuple(Fraction(k * (k - 1), n) % 2 for k in range(1, n + 1))
     return PhaseList(BROADBAND, n, fractions)
@@ -154,13 +160,6 @@ def gate_sequence(base: PhaseList, alpha: float) -> GateSequence:
     phi = base.phases
     xi = tuple(p + math.pi + 0.5 * alpha for p in phi)
     return GateSequence(base, float(alpha), phi + xi)
-
-
-def compose(props: Sequence[Propagator2]) -> Propagator2:
-    """Time-ordered product of propagators: the first element acts first."""
-    if len(props) == 0:
-        raise ValidationError("cannot compose an empty pulse sequence")
-    return Propagator2(time_ordered_product(np.stack([p.u for p in props])))
 
 
 def sequence_propagator(seq: GateSequence, area: float, detuning: float = 0.0,

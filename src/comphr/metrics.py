@@ -118,20 +118,9 @@ def bb_infidelity_analytic(hr_phase: float, area: float, n: int):
     return 2.0 * np.abs(np.sin(0.5 * hr_phase)) * np.cos(0.5 * np.asarray(area)) ** (2 * int(n))
 
 
-def composite_amplitudes(pulse_phases: Sequence[float], areas, detunings) -> np.ndarray:
-    """Stacked 2x2 propagators of a rectangular composite over an (area, detuning) grid.
-
-    `areas` and `detunings` broadcast against each other; the peak Rabi
-    frequency is 1, so entries are functions of (A, Delta/Omega) only.  All
-    pulses share the same base propagator (one spectral exponential per grid
-    point) and differ by their imprinted phases.
-    """
-    return star_propagator((1.0,), pulse_phases, areas, detunings)
-
-
 def _shortcut_infidelity(family: PhaseList, hr_phase: float, areas, detunings) -> np.ndarray:
     seq = gate_sequence(family, 2.0 * hr_phase)
-    u = composite_amplitudes(seq.pulse_phases, areas, detunings)
+    u = star_propagator((1.0,), seq.pulse_phases, areas, detunings)
     return np.abs(u[..., 0, 0] - np.exp(1j * hr_phase))
 
 

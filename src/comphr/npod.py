@@ -37,6 +37,7 @@ from .two_level import (
     DEFAULT_SUBSTEPS,
     GAUSSIAN,
     RECTANGULAR,
+    STACK_ELEMENTS,
     TABULATED,
     PulseShape,
     gaussian,
@@ -63,6 +64,7 @@ class NPodSystem:
         phases = tuple(float(b) for b in self.coupling_phases)
         if len(couplings) < 1:
             raise ValidationError("an N-pod needs at least one coupled state")
+        _require_stackable(len(couplings))
         if len(phases) != len(couplings):
             raise ValidationError("couplings and coupling_phases must have equal length")
         if not all(np.isfinite(c) and c >= 0.0 for c in couplings):
@@ -75,6 +77,8 @@ class NPodSystem:
             raise ValidationError("detuning must be finite")
         object.__setattr__(self, "couplings", couplings)
         object.__setattr__(self, "coupling_phases", phases)
+        if not 0.0 < self.rms_peak < math.inf:
+            raise ValidationError("the rms coupling must be finite and nonzero")
 
     @property
     def n_states(self) -> int:
@@ -103,7 +107,7 @@ class HouseholderTarget:
         if v.size < 1:
             raise ValidationError("reflection vector must be nonempty")
         defect = abs(np.linalg.norm(v) - 1.0)
-        if defect > NORMALIZATION_TOL:
+        if not defect <= NORMALIZATION_TOL:
             raise ValidationError(f"reflection vector is not normalized (defect {defect:.3e})")
         if not np.isfinite(self.hr_phase):
             raise ValidationError("hr_phase must be finite")
@@ -122,6 +126,17 @@ class MSReduction:
     rms_peak: float
     bright: np.ndarray
     dark_basis: tuple[np.ndarray, ...]
+
+
+def _require_stackable(n_states: int) -> None:
+    """Reject an N whose (N+1)x(N+1) propagator alone exceeds STACK_ELEMENTS.
+
+    The kernel chunks grids and slice stacks, but every chunk holds at least
+    one propagator, so only this bound keeps its memory flat.
+    """
+    if (n_states + 1) ** 2 > STACK_ELEMENTS:
+        raise ValidationError(f"an N-pod may have at most {math.isqrt(STACK_ELEMENTS) - 1} "
+                              f"coupled states, got {n_states}")
 
 
 def householder_matrix(target: HouseholderTarget) -> np.ndarray:
@@ -220,6 +235,9 @@ def random_system(n_states: int, seed: int = 0, shape: PulseShape | None = None)
     """N-pod with a random reflection vector: complex-normal entries, then normalization."""
     if int(n_states) != n_states or n_states < 1:
         raise ValidationError("n_states must be a positive integer")
+    if int(seed) != seed or seed < 0:
+        raise ValidationError("seed must be a non-negative integer")
+    _require_stackable(int(n_states))
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(int(n_states)) + 1j * rng.standard_normal(int(n_states))
     v = v / np.linalg.norm(v)

@@ -1,12 +1,13 @@
-"""Driven two-state dynamics: pulse envelopes and exact propagators.
+"""Driven two-state dynamics: pulse envelopes and the batched propagation kernel.
 
-Conventions (hbar = 1, all frequencies angular):
+Conventions (hbar = 1, all frequencies angular, the peak Rabi frequency is
+the unit of frequency):
 
-* A pulse with peak Rabi frequency ``omega_peak``, envelope ``f`` (peak 1),
-  constant detuning ``Delta`` and constant drive phase ``phi`` has
+* A pulse of area A with envelope f (peak 1), constant detuning Delta and
+  constant drive phase phi lasts T = A / (integral of f over [0, 1]) and has
 
-      H(t) = 0.5 * [[0,                       omega_peak*f(t)*e^{i phi}],
-                    [omega_peak*f(t)*e^{-i phi},              2*Delta  ]].
+      H(t) = 0.5 * [[0,                f(t/T)*e^{i phi}],
+                    [f(t/T)*e^{-i phi},          2*Delta]],    0 <= t <= T.
 
 * On resonance the propagator of a pulse of area A depends only on A and phi:
   a = cos(A/2), b = -i*e^{i phi}*sin(A/2) in the Cayley-Klein form
@@ -21,6 +22,12 @@ Conventions (hbar = 1, all frequencies angular):
 * Detuned propagators are kept in this frame (2*Delta on the second diagonal
   entry), NOT renormalized to unit determinant: the multilevel reduction in
   :mod:`comphr.npod` consumes the literal element u[0,0] of this frame.
+
+The single pulse above is ``star_propagator((1.0,), (phi,), A, Delta, shape,
+substeps)``.  :func:`star_propagator` computes every propagator of the
+package except two: :func:`resonant_propagator`, the closed form that tests
+compare against, and the single rectangular pulse of
+:func:`comphr.npod.pulse_propagator`.
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import SERIAL_BLAS, expm_hermitian, expm_hermitian_stack, unitarity_defect
+from .linalg import SERIAL_BLAS, expm_hermitian_stack, unitarity_defect
 
 RECTANGULAR = "rectangular"
 GAUSSIAN = "gaussian"
@@ -75,8 +82,12 @@ class PulseShape:
             values = np.array([v for _, v in samples])
             if not np.all(np.isfinite(times)) or not np.all(np.isfinite(values)):
                 raise ValidationError("tabulated samples must be finite")
-            if np.any(np.diff(times) <= 0):
+            with np.errstate(over="ignore"):
+                steps, span = np.diff(times), times[-1] - times[0]
+            if np.any(steps <= 0):
                 raise ValidationError("tabulated sample times must be strictly increasing")
+            if not np.isfinite(span):
+                raise ValidationError("tabulated sample times must span a finite interval")
             if values.min() < 0.0 or values.max() > 1.0:
                 raise ValidationError("tabulated values must lie in [0, 1]")
             if abs(values.max() - 1.0) > 1e-9:
@@ -120,41 +131,6 @@ def tabulated(samples) -> PulseShape:
     return PulseShape(TABULATED, samples=tuple(tuple(s) for s in samples))
 
 
-@dataclass(frozen=True)
-class PulseSpec:
-    """One constituent pulse: envelope, peak Rabi frequency, duration, detuning, phase."""
-
-    shape: PulseShape
-    omega_peak: float
-    duration: float
-    detuning: float = 0.0
-    phase: float = 0.0
-
-    def __post_init__(self):
-        if not (np.isfinite(self.omega_peak) and self.omega_peak >= 0.0):
-            raise ValidationError("omega_peak must be finite and >= 0")
-        if not (np.isfinite(self.duration) and self.duration > 0.0):
-            raise ValidationError("duration must be finite and > 0")
-        if not np.isfinite(self.detuning) or not np.isfinite(self.phase):
-            raise ValidationError("detuning and phase must be finite")
-
-    @property
-    def area(self) -> float:
-        """Pulse area omega_peak * integral of the envelope over the pulse."""
-        return self.omega_peak * self.duration * self.shape.unit_integral()
-
-
-def pulse_with_area(shape: PulseShape, area: float, detuning: float = 0.0,
-                    phase: float = 0.0, omega_peak: float = 1.0) -> PulseSpec:
-    """Pulse of the requested area at fixed peak Rabi frequency (duration solved for)."""
-    if not (np.isfinite(area) and area > 0.0):
-        raise ValidationError("area must be finite and > 0")
-    if omega_peak <= 0.0:
-        raise ValidationError("omega_peak must be > 0 to fix a duration")
-    duration = area / (omega_peak * shape.unit_integral())
-    return PulseSpec(shape, omega_peak, duration, detuning, phase)
-
-
 @dataclass(frozen=True, eq=False)
 class Propagator2:
     """2x2 unitary propagator with Cayley-Klein accessors a = u[0,0], b = u[0,1]."""
@@ -187,53 +163,6 @@ def resonant_propagator(area: float, phase: float = 0.0) -> Propagator2:
     a = math.cos(0.5 * area)
     b = -1j * np.exp(1j * phase) * math.sin(0.5 * area)
     return Propagator2(np.array([[a, b], [-np.conj(b), np.conj(a)]]))
-
-
-def apply_phase(prop: Propagator2, phase: float) -> Propagator2:
-    """Imprint a constant drive phase: u[0,1] -> u[0,1]*e^{i phase}, u[1,0] -> u[1,0]*e^{-i phase}."""
-    u = np.array(prop.u)
-    u[0, 1] *= np.exp(1j * phase)
-    u[1, 0] *= np.exp(-1j * phase)
-    return Propagator2(u)
-
-
-def constant_propagator(pulse: PulseSpec) -> Propagator2:
-    """Exact propagator of a rectangular pulse at constant detuning.
-
-    Returns exp(-i*T/2 * [[0, Omega], [Omega, 2*Delta]]) with the pulse phase
-    imprinted on the off-diagonal elements.  Reduces to
-    :func:`resonant_propagator` when the detuning vanishes.
-    """
-    if pulse.shape.kind != RECTANGULAR:
-        raise ValidationError("constant_propagator needs a rectangular pulse; "
-                              "use shaped_propagator for other envelopes")
-    h = 0.5 * np.array([[0.0, pulse.omega_peak],
-                        [pulse.omega_peak, 2.0 * pulse.detuning]], dtype=complex)
-    u = expm_hermitian(h, pulse.duration)
-    return apply_phase(Propagator2(u), pulse.phase)
-
-
-def shaped_propagator(pulse: PulseSpec, substeps: int = DEFAULT_SUBSTEPS,
-                      window: tuple[float, float] = (0.0, 1.0)) -> Propagator2:
-    """Piecewise-constant propagator of an arbitrary-envelope pulse.
-
-    The pulse (or the sub-interval `window`, in fractions of the duration) is
-    split into `substeps` equal slices, each advanced exactly with the
-    spectral exponential of the slice-midpoint Hamiltonian.  Unitary to
-    round-off by construction; second-order accurate in the slice width.
-    """
-    substeps = _slice_count(substeps)
-    lo, hi = float(window[0]), float(window[1])
-    if not (0.0 <= lo < hi <= 1.0):
-        raise ValidationError("window must satisfy 0 <= lo < hi <= 1")
-    peak = np.array([pulse.omega_peak], dtype=complex)
-
-    def generators(first, last):
-        mid = lo + (hi - lo) * (np.arange(first, last) + 0.5) / substeps
-        return _star_generators(peak, pulse.shape.envelope(mid), pulse.detuning)
-
-    u = slice_product(generators, substeps, (hi - lo) * pulse.duration / substeps, 4)
-    return apply_phase(Propagator2(u), pulse.phase)
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +286,7 @@ def star_propagator(bright, pulse_phases, areas, detunings=0.0,
 
 
 def _slice_count(substeps) -> int:
-    if int(substeps) != substeps or substeps < 1:
+    if not (math.isfinite(substeps) and substeps >= 1 and int(substeps) == substeps):
         raise ValidationError("substeps must be a positive integer")
     return int(substeps)
 

@@ -159,6 +159,18 @@ def test_hr_mistyped_config_value_is_validation_error(tmp_path, capsys, override
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("overrides", [
+    {"family": {"family": "bb", "n": 999999999}},
+    {"couplings": [1.0] * 1024, "coupling_phases": [0.0] * 1024},
+])
+def test_hr_oversized_config_is_validation_error(tmp_path, capsys, overrides):
+    cfg = tmp_path / "sys.json"
+    write_config(cfg, **overrides)
+    code, _, err = run(capsys, "hr", "--config", str(cfg))
+    assert code == 2
+    assert "at most" in err
+
+
 def test_hr_integral_float_order_is_accepted(tmp_path, capsys):
     cfg = tmp_path / "sys.json"
     write_config(cfg)
@@ -253,6 +265,23 @@ def test_scan_2d_full_mode_matches_default(tmp_path, capsys):
         assert fr.rsplit(",", 1)[0] == lr.rsplit(",", 1)[0]
         worst = max(worst, abs(float(fr.rsplit(",", 1)[1]) - float(lr.rsplit(",", 1)[1])))
     assert worst <= 1e-9
+
+
+@pytest.mark.parametrize("argv", [
+    ["phases", "--n", "999999999"],
+    ["scan-area", "--n", "1,1001"],
+    ["scan-2d", "--family", "bb", "--n", "1001"],
+    ["scan-2d", "--full", "--N", "100000"],
+    ["scan-2d", "--full", "--seed", "-1"],
+])
+def test_out_of_range_order_system_or_seed_is_validation_error(tmp_path, capsys, argv):
+    out = tmp_path / "out.csv"
+    if argv[0] != "phases":
+        argv = argv + ["--out", str(out)]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: ")
+    assert not out.exists()
 
 
 def test_unknown_command_exits_2(capsys):

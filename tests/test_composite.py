@@ -7,24 +7,24 @@ import numpy as np
 import pytest
 
 from comphr import (
-    Propagator2,
-    PulseSpec,
     ValidationError,
     bb_phases,
-    compose,
     composite_phase_gate,
-    constant_propagator,
+    expm_hermitian,
     family_from_config,
     family_to_config,
     gate_sequence,
     gaussian,
-    rectangular,
     resonant_propagator,
     sequence_propagator,
+    star_propagator,
     tabulated,
     unitarity_defect,
     universal_phases,
 )
+from comphr.composite import MAX_ORDER
+
+from oracle import two_level_hamiltonian
 
 PI = np.pi
 
@@ -56,6 +56,13 @@ def test_bb_published_lists():
 def test_bb_rejects_even_or_nonpositive_n():
     for bad in (0, -3, 4, 2.5):
         with pytest.raises(ValidationError, match="odd"):
+            bb_phases(bad)
+
+
+def test_bb_order_is_bounded():
+    assert bb_phases(MAX_ORDER).n == MAX_ORDER
+    for bad in (MAX_ORDER + 2, 999999999):
+        with pytest.raises(ValidationError, match="at most"):
             bb_phases(bad)
 
 
@@ -124,18 +131,17 @@ def test_gate_sequence_offset_invariant():
 # --- composition ---------------------------------------------------------------
 
 def test_compose_single_and_inverse():
-    u = resonant_propagator(0.8, 0.3)
-    assert np.allclose(compose([u]).u, u.u, atol=1e-15)
-    u_dag = Propagator2(u.u.conj().T)
-    assert np.allclose(compose([u, u_dag]).u, np.eye(2), atol=1e-14)
-    with pytest.raises(ValidationError):
-        compose([])
+    u = resonant_propagator(0.8, 0.3).u
+    assert np.allclose(star_propagator((1.0,), (0.3,), 0.8), u, atol=1e-15)
+    # on resonance a pulse with its drive phase shifted by pi undoes it
+    assert np.allclose(star_propagator((1.0,), (0.3, 0.3 + PI), 0.8), np.eye(2), atol=1e-14)
 
 
 def test_compose_order_is_first_pulse_first():
-    a = constant_propagator(PulseSpec(rectangular(), 1.0, 0.7, detuning=0.5))
-    b = resonant_propagator(1.1, 0.9)
-    assert np.allclose(compose([a, b]).u, b.u @ a.u, atol=1e-15)
+    a = star_propagator((1.0,), (0.0,), 0.7, 0.5)
+    b = star_propagator((1.0,), (0.9,), 0.7, 0.5)
+    assert np.allclose(star_propagator((1.0,), (0.0, 0.9), 0.7, 0.5), b @ a, atol=1e-15)
+    assert not np.allclose(b @ a, a @ b, atol=1e-3)
 
 
 def test_two_pi_pulses_make_a_phase_gate():
@@ -144,13 +150,12 @@ def test_two_pi_pulses_make_a_phase_gate():
     for _ in range(15):
         alpha = rng.uniform(-2 * PI, 2 * PI)
         area = rng.uniform(0.0, 2 * PI)
-        tot = compose([resonant_propagator(area, 0.0),
-                       resonant_propagator(area, PI + alpha / 2)])
+        tot = star_propagator((1.0,), (0.0, PI + alpha / 2), area)
         c2 = np.cos(area / 2) ** 2
         expected = c2 + (1 - c2) * np.exp(1j * alpha / 2)
-        assert tot.a == pytest.approx(expected, abs=1e-13)
-    exact = compose([resonant_propagator(PI, 0.0), resonant_propagator(PI, PI + 0.35)])
-    assert np.allclose(exact.u, phase_gate(0.7), atol=1e-14)
+        assert tot[0, 0] == pytest.approx(expected, abs=1e-13)
+    exact = star_propagator((1.0,), (0.0, PI + 0.35), PI)
+    assert np.allclose(exact, phase_gate(0.7), atol=1e-14)
 
 
 # --- composite phase gate -------------------------------------------------------
@@ -197,11 +202,10 @@ def test_gate_accepts_detuning():
     fam = universal_phases(5, 2)
     g = composite_phase_gate(fam, PI, 0.9 * PI, detuning=0.3)
     # consistency with an explicit pulse-by-pulse build
-    seq = gate_sequence(fam, PI)
-    pulses = [constant_propagator(PulseSpec(rectangular(), 1.0, 0.9 * PI,
-                                            detuning=0.3, phase=p))
-              for p in seq.pulse_phases]
-    assert np.max(np.abs(g.u - compose(pulses).u)) <= 1e-13
+    expected = np.eye(2)
+    for p in gate_sequence(fam, PI).pulse_phases:
+        expected = expm_hermitian(two_level_hamiltonian(1.0, 0.3, p)(0.0), 0.9 * PI) @ expected
+    assert np.max(np.abs(g.u - expected)) <= 1e-13
 
 
 def test_shaped_gate_on_resonance_is_unitary():

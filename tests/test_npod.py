@@ -1,5 +1,6 @@
 """Star-coupled systems: reduction, Householder targets, full-system propagation."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -30,6 +31,7 @@ from comphr import (
     unitarity_defect,
     universal_phases,
 )
+from comphr.two_level import STACK_ELEMENTS
 
 PI = np.pi
 
@@ -61,6 +63,8 @@ def test_householder_by_hand():
 def test_householder_rejects_unnormalized_vector():
     with pytest.raises(ValidationError):
         HouseholderTarget(np.array([1.0, 1.0]), PI)
+    with pytest.raises(ValidationError):
+        HouseholderTarget(np.array([1.0, np.nan]), PI)
 
 
 def test_householder_algebra():
@@ -128,6 +132,24 @@ def test_npod_system_validation():
         NPodSystem((1.0, -1.0), (0.0, 0.0))
     with pytest.raises(ValidationError):
         NPodSystem((1.0,), (0.0, 0.0))
+    for tiny_or_huge in (5e-324, 1e200):  # the rms underflows to 0 or overflows
+        with pytest.raises(ValidationError, match="rms"):
+            NPodSystem((tiny_or_huge,), (0.0,))
+
+
+def test_system_size_is_bounded_by_the_stack(monkeypatch):
+    largest = math.isqrt(STACK_ELEMENTS) - 1  # one (N+1)x(N+1) propagator fills a stack
+    assert NPodSystem((1.0,) * largest, (0.0,) * largest).n_states == largest
+    with pytest.raises(ValidationError, match="at most"):
+        NPodSystem((1.0,) * (largest + 1), (0.0,) * (largest + 1))
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("random_system drew before checking N")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    for n in (largest + 1, 100000, 999999999):
+        with pytest.raises(ValidationError, match="at most"):
+            random_system(n)
 
 
 # --- Hamiltonian construction -----------------------------------------------------
@@ -338,3 +360,5 @@ def test_random_system_is_seeded_and_normalized():
     assert a.coupling_phases == b.coupling_phases
     assert a.rms_peak == pytest.approx(1.0, abs=1e-12)
     assert random_system(6, seed=100).couplings != a.couplings
+    with pytest.raises(ValidationError, match="seed"):
+        random_system(6, seed=-1)

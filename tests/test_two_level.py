@@ -1,20 +1,18 @@
 """Two-level propagators: conventions, detuned dynamics, shaped pulses."""
 
+import math
+
 import numpy as np
 import pytest
 
 from comphr import two_level
 from comphr import (
-    PulseSpec,
     ValidationError,
-    apply_phase,
-    constant_propagator,
     expm_hermitian,
     gaussian,
-    pulse_with_area,
     rectangular,
     resonant_propagator,
-    shaped_propagator,
+    star_propagator,
     tabulated,
 )
 
@@ -27,38 +25,64 @@ PI = np.pi
 B_MAG_DETUNED = 0.5626400585724002
 
 
-# --- pulse shapes and specs -------------------------------------------------
+def pulse(area, detuning=0.0, phase=0.0, shape=rectangular(), substeps=1000):
+    """One pulse of peak Rabi frequency 1 through the kernel."""
+    return star_propagator((1.0,), (phase,), area, detuning, shape, substeps)
+
+
+# --- pulse shapes and kernel input ----------------------------------------------
 
 def test_shape_validation():
     with pytest.raises(ValidationError):
-        pulse_with_area(gaussian(truncation=0.0), PI)
+        gaussian(truncation=0.0)
     with pytest.raises(ValidationError):
         tabulated([(0.0, 0.0)])  # fewer than 2 samples
     with pytest.raises(ValidationError):
         tabulated([(0.0, 0.0), (0.0, 1.0)])  # not strictly increasing
+    with pytest.raises(ValidationError):
+        tabulated([(-1e308, 0.0), (1e308, 1.0)])  # span overflows
     with pytest.raises(ValidationError):
         tabulated([(0.0, 0.0), (1.0, 1.5)])  # above 1
     with pytest.raises(ValidationError):
         tabulated([(0.0, 0.0), (1.0, 0.5)])  # never reaches the peak
 
 
-def test_pulse_spec_validation():
+BAD_INPUT = {
+    "negative-area": {"areas": -0.1},
+    "nan-area": {"areas": np.nan},
+    "infinite-area": {"areas": np.inf},
+    "one-bad-area-in-a-grid": {"areas": [PI, -PI]},
+    "nan-detuning": {"detunings": np.nan},
+    "infinite-detuning": {"detunings": np.inf},
+    "one-bad-detuning-in-a-grid": {"detunings": [0.0, -np.inf]},
+    "no-phases": {"pulse_phases": ()},
+    "nan-phase": {"pulse_phases": (0.0, np.nan)},
+    "infinite-phase": {"pulse_phases": (np.inf,)},
+    "zero-bright": {"bright": (0.0,)},
+    "zero-bright-vector": {"bright": (0.0, 0.0)},
+    "nan-bright": {"bright": (1.0, np.nan)},
+    "infinite-bright": {"bright": (np.inf,)},
+}
+
+
+@pytest.mark.parametrize("bad", BAD_INPUT.values(), ids=BAD_INPUT.keys())
+def test_star_propagator_rejects_bad_input(bad):
+    good = {"bright": (1.0,), "pulse_phases": (0.0,), "areas": PI, "detunings": 0.0}
     with pytest.raises(ValidationError):
-        PulseSpec(rectangular(), -1.0, 1.0)
-    with pytest.raises(ValidationError):
-        PulseSpec(rectangular(), 1.0, 0.0)
-    with pytest.raises(ValidationError):
-        PulseSpec(rectangular(), 1.0, 1.0, detuning=np.inf)
+        star_propagator(**{**good, **bad})
 
 
 def test_area_bookkeeping():
-    p = PulseSpec(rectangular(), 2.0, 3.0)
-    assert p.area == pytest.approx(6.0)
-    g = pulse_with_area(gaussian(), 0.9 * PI, detuning=0.1)
-    assert g.area == pytest.approx(0.9 * PI, abs=1e-14)
-    # triangle envelope: unit integral 1/2
-    tri = tabulated([(0.0, 0.0), (0.5, 1.0), (1.0, 0.0)])
-    assert pulse_with_area(tri, PI).area == pytest.approx(PI, abs=1e-14)
+    # A pulse of area A lasts A / unit_integral() at peak Rabi frequency 1.
+    assert rectangular().unit_integral() == 1.0
+    x = np.linspace(0.0, 1.0, 100001)
+    for c in (0.5, 3.0):
+        closed = math.sqrt(math.pi) * math.erf(c) / (2.0 * c)
+        assert gaussian(c).unit_integral() == pytest.approx(closed, abs=1e-15)
+        assert closed == pytest.approx(np.trapezoid(gaussian(c).envelope(x), x), abs=1e-9)
+    # triangle envelope: unit integral 1/2 whatever the sample time scale
+    for samples in ([(0.0, 0.0), (0.5, 1.0), (1.0, 0.0)], [(0.0, 0.0), (1.0, 1.0), (2.0, 0.0)]):
+        assert tabulated(samples).unit_integral() == pytest.approx(0.5, abs=1e-15)
 
 
 # --- resonant propagator ----------------------------------------------------
@@ -88,23 +112,15 @@ def test_resonant_rejects_negative_area():
         resonant_propagator(-0.1)
 
 
-# --- constant (rectangular, detuned) propagator ------------------------------
-
-def test_uncoupled_levels_only_accumulate_detuning_phase():
-    p = PulseSpec(rectangular(), 0.0, 2.0, detuning=0.7)
-    u = constant_propagator(p).u
-    assert np.allclose(u, np.diag([1.0, np.exp(-1j * 0.7 * 2.0)]), atol=1e-14)
-
+# --- rectangular (detuned) pulses --------------------------------------------
 
 def test_resonant_reduction():
-    p = PulseSpec(rectangular(), 1.0, PI, detuning=0.0, phase=0.4)
-    assert np.allclose(constant_propagator(p).u, resonant_propagator(PI, 0.4).u, atol=1e-14)
+    assert np.allclose(pulse(PI, 0.0, 0.4), resonant_propagator(PI, 0.4).u, atol=1e-14)
 
 
 def test_detuned_propagator_vs_rk4():
     # Omega = Delta = 1, T = pi
-    p = PulseSpec(rectangular(), 1.0, PI, detuning=1.0)
-    u = constant_propagator(p).u
+    u = pulse(PI, detuning=1.0)
     u_rk4 = rk4_propagator(two_level_hamiltonian(1.0, detuning=1.0), 0.0, PI, 4000)
     assert np.max(np.abs(u - u_rk4)) <= 1e-10
     assert abs(u[0, 1]) == pytest.approx(B_MAG_DETUNED, abs=1e-12)
@@ -117,108 +133,111 @@ def test_detuned_propagator_vs_rk4():
 
 def test_constant_propagator_keeps_detuned_frame():
     # determinant carries the frame phase exp(-i*Delta*T); it must not be stripped
-    p = PulseSpec(rectangular(), 1.0, 1.3, detuning=0.6)
-    u = constant_propagator(p).u
+    u = pulse(1.3, detuning=0.6)
     assert np.linalg.det(u) == pytest.approx(np.exp(-1j * 0.6 * 1.3), abs=1e-13)
 
 
-def test_constant_propagator_rejects_shaped_pulse():
-    with pytest.raises(ValidationError):
-        constant_propagator(pulse_with_area(gaussian(), PI))
-
-
 def test_generalized_rabi_law():
+    # |u01| = |sin(W A / 2)| / W with W = sqrt(1 + Delta^2), 40 points in one call
     rng = np.random.default_rng(5)
-    for _ in range(40):
-        omega = rng.uniform(0.0, 3.0)
-        delta = rng.uniform(-3.0, 3.0)
-        duration = rng.uniform(0.1, 8.0)
-        u = constant_propagator(PulseSpec(rectangular(), omega, duration, delta)).u
-        w = np.hypot(omega, delta)
-        expected = 0.0 if w == 0.0 else (omega / w) * abs(np.sin(w * duration / 2))
-        assert abs(u[0, 1]) == pytest.approx(expected, abs=1e-10)
+    areas = rng.uniform(0.0, 24.0, 40)
+    deltas = rng.uniform(-3.0, 3.0, 40)
+    u = star_propagator((1.0,), (0.0,), areas, deltas)
+    w = np.hypot(1.0, deltas)
+    assert np.max(np.abs(np.abs(u[:, 0, 1]) - np.abs(np.sin(w * areas / 2)) / w)) <= 1e-10
 
 
-# --- apply_phase --------------------------------------------------------------
+# --- drive phase ----------------------------------------------------------------
+
+def rephase(u, phase):
+    """u[0,1] -> u[0,1]*e^{i phase}, u[1,0] -> u[1,0]*e^{-i phase}."""
+    u = np.array(u)
+    u[..., 0, 1] *= np.exp(1j * phase)
+    u[..., 1, 0] *= np.exp(-1j * phase)
+    return u
+
 
 def test_apply_phase_examples():
-    u = resonant_propagator(PI, 0.0)
-    assert np.allclose(apply_phase(u, 0.0).u, u.u, atol=1e-15)
-    assert apply_phase(u, PI).b == pytest.approx(1j, abs=1e-15)
+    assert np.allclose(pulse(PI), resonant_propagator(PI, 0.0).u, atol=1e-15)
+    assert pulse(PI, phase=PI)[0, 1] == pytest.approx(1j, abs=1e-15)
 
 
 def test_apply_phase_is_additive():
     rng = np.random.default_rng(11)
-    for _ in range(10):
-        u = constant_propagator(PulseSpec(rectangular(), rng.uniform(0, 2),
-                                          rng.uniform(0.1, 4), rng.uniform(-1, 1)))
-        p1, p2 = rng.uniform(-PI, PI, size=2)
-        lhs = apply_phase(apply_phase(u, p1), p2).u
-        rhs = apply_phase(u, p1 + p2).u
+    areas = rng.uniform(0.0, 8.0, 10)
+    deltas = rng.uniform(-1.0, 1.0, 10)
+    for p1, p2 in rng.uniform(-PI, PI, size=(10, 2)):
+        lhs = rephase(star_propagator((1.0,), (p1,), areas, deltas), p2)
+        rhs = star_propagator((1.0,), (p1 + p2,), areas, deltas)
         assert np.max(np.abs(lhs - rhs)) <= 1e-14
 
 
 def test_apply_phase_leaves_diagonal():
-    u = constant_propagator(PulseSpec(rectangular(), 1.0, 2.0, detuning=0.5))
-    shifted = apply_phase(u, 1.1)
-    assert shifted.u[0, 0] == u.u[0, 0]
-    assert shifted.u[1, 1] == u.u[1, 1]
+    u = pulse(2.0, detuning=0.5)
+    shifted = pulse(2.0, detuning=0.5, phase=1.1)
+    assert shifted[0, 0] == u[0, 0]
+    assert shifted[1, 1] == u[1, 1]
 
 
-# --- shaped propagator --------------------------------------------------------
+# --- shaped pulses ------------------------------------------------------------------
 
 def test_shaped_matches_constant_for_rectangular():
-    p = PulseSpec(rectangular(), 1.0, 2.2, detuning=0.4, phase=0.9)
+    flat = tabulated([(0.0, 1.0), (1.0, 1.0)])
+    rect = pulse(2.2, 0.4, 0.9)
     for substeps in (1, 7, 100):
-        d = np.max(np.abs(shaped_propagator(p, substeps).u - constant_propagator(p).u))
+        d = np.max(np.abs(pulse(2.2, 0.4, 0.9, flat, substeps) - rect))
         assert d <= 1e-12
 
 
 def test_resonant_gaussian_pi_pulse_inverts():
-    p = pulse_with_area(gaussian(), PI)
-    u = shaped_propagator(p, 1000).u
+    u = pulse(PI, shape=gaussian(), substeps=1000)
     assert abs(u[0, 0]) <= 1e-8
     assert abs(u[0, 1]) == pytest.approx(1.0, abs=1e-8)
     # Richardson check: 1000 vs 2000 slices
-    u2 = shaped_propagator(p, 2000).u
+    u2 = pulse(PI, shape=gaussian(), substeps=2000)
     assert np.max(np.abs(u - u2)) <= 1e-7
 
 
+def test_detuned_gaussian_pulse_vs_rk4():
+    # the README single-pulse example: |u01| = 0.9657...
+    shape = gaussian()
+    duration = PI / shape.unit_integral()
+
+    def h(t):
+        return two_level_hamiltonian(shape.envelope(t / duration), detuning=0.2)(t)
+
+    u_rk4 = rk4_propagator(h, 0.0, duration, 4000)
+    u = pulse(PI, detuning=0.2, shape=shape, substeps=1000)
+    assert np.max(np.abs(u - u_rk4)) <= 1e-5
+    assert abs(u[0, 1]) == pytest.approx(0.9657, abs=1e-4)
+
+
 def test_shaped_self_convergence_is_second_order():
-    p = pulse_with_area(gaussian(), 0.9 * PI, detuning=0.7, phase=0.3)
-    us = {m: shaped_propagator(p, m).u for m in (125, 250, 500, 1000)}
+    us = {m: pulse(0.9 * PI, 0.7, 0.3, gaussian(), m) for m in (125, 250, 500, 1000)}
     d = [np.linalg.norm(us[2 * m] - us[m]) for m in (125, 250, 500)]
     assert d[1] <= 0.3 * d[0]
     assert d[2] <= 0.3 * d[1]
 
 
 def test_resonant_shape_invariance():
-    for area in (0.5 * PI, PI, 1.7 * PI):
-        rect = constant_propagator(pulse_with_area(rectangular(), area, phase=0.2))
-        gauss = shaped_propagator(pulse_with_area(gaussian(), area, phase=0.2), 1000)
-        assert np.max(np.abs(rect.u - gauss.u)) <= 1e-8
-
-
-def test_shaped_window_composition():
-    p = pulse_with_area(gaussian(), 0.8 * PI, detuning=-0.6, phase=1.2)
-    full = shaped_propagator(p, 1000).u
-    left = shaped_propagator(p, 500, window=(0.0, 0.5)).u
-    right = shaped_propagator(p, 500, window=(0.5, 1.0)).u
-    assert np.linalg.norm(right @ left - full) <= 1e-10
+    areas = np.array([0.5, 1.0, 1.7]) * PI
+    rect = star_propagator((1.0,), (0.2,), areas)
+    gauss = star_propagator((1.0,), (0.2,), areas, 0.0, gaussian(), 1000)
+    assert np.max(np.abs(rect - gauss)) <= 1e-8
 
 
 def test_shaped_tabulated_envelope():
     tri = tabulated([(0.0, 0.0), (1.0, 1.0), (2.0, 0.0)])
-    u = shaped_propagator(pulse_with_area(tri, PI), 1000).u
+    u = pulse(PI, shape=tri, substeps=1000)
     assert abs(u[0, 1]) == pytest.approx(1.0, abs=1e-5)
 
 
 def test_shaped_validation():
-    p = pulse_with_area(gaussian(), PI)
-    with pytest.raises(ValidationError):
-        shaped_propagator(p, 0)
-    with pytest.raises(ValidationError):
-        shaped_propagator(p, 100, window=(0.5, 0.5))
+    # a shaped envelope takes `substeps` slices, a positive integer
+    for shape in (gaussian(), tabulated([(0.0, 0.0), (1.0, 1.0)])):
+        for bad in (0, -1, 2.5, np.nan, np.inf):
+            with pytest.raises(ValidationError):
+                pulse(PI, shape=shape, substeps=bad)
 
 
 @pytest.mark.parametrize("substeps", [1, 2, 7, 1000])
