@@ -1,5 +1,6 @@
 """CLI behaviour: flags, exit codes, file formats, determinism."""
 
+import hashlib
 import json
 import math
 
@@ -220,6 +221,28 @@ def test_scan_area_deterministic_bytes(tmp_path, capsys):
                          "--out", str(path))
         assert code == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+#: sha256 of the CSV files these commands wrote when the digests were taken
+#: (x86-64, numpy 2.4 with its bundled OpenBLAS).  Every value carries 17
+#: significant digits, so a change in the last bit of any number, or in the
+#: formatting, changes the digest.
+GOLDEN_CSV = [
+    (["scan-area", "--n", "1,3,5,9", "--phi", "pi/2", "--points", "161"],
+     "18e53d366a7ad0afe8057774fc4155a56546b5d45eb7ebe172bd590a9f86ae59"),
+    (["scan-2d", "--apoints", "11", "--dpoints", "11"],
+     "8f5e717617c293b777e987d04d6fa2b4bf4ed614fb398938e937ffaf68230dad"),
+    (["scan-2d", "--apoints", "11", "--dpoints", "11", "--full", "--N", "3", "--seed", "7"],
+     "c0f9c42253bd18a660a9da1b9b1104b9b52d3476c2482807a7d70931d1763161"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN_CSV, ids=["scan-area", "scan-2d", "scan-2d-full"])
+def test_scan_csv_bytes_are_pinned(tmp_path, capsys, argv, digest):
+    out = tmp_path / "scan.csv"
+    code, _, _ = run(capsys, *argv, "--out", str(out))
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_scan_area_bad_n_list(tmp_path, capsys):
