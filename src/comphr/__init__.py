@@ -17,7 +17,7 @@ from .composite import (
     universal_phases,
 )
 from .errors import ValidationError
-from .linalg import expm_hermitian, frobenius_distance, unitarity_defect
+from .linalg import expm_hermitian, unitarity_defect
 from .metrics import (
     AXIS_AREA,
     AXIS_DETUNING,
@@ -77,7 +77,6 @@ __all__ = [
     "expm_hermitian",
     "family_from_config",
     "family_to_config",
-    "frobenius_distance",
     "gate_sequence",
     "gaussian",
     "householder_matrix",

@@ -30,7 +30,7 @@ from .metrics import (
     AXIS_DETUNING,
     ScanAxis,
     ScanGrid,
-    _fmt,
+    _NUMBER,
     infidelity,
     scan_2d,
     scan_area,
@@ -117,7 +117,7 @@ def _write_text(path, text: str) -> None:
 def cmd_phases(args) -> int:
     family = _families(args.family, [args.n], args.variant)[0]
     print(f"{family.pi_string()} (×π)")
-    print(", ".join(_fmt(p) for p in family.phases) + " (rad)")
+    print(", ".join(map(_NUMBER.format, family.phases)) + " (rad)")
     return EXIT_OK
 
 
@@ -163,13 +163,8 @@ def cmd_scan_2d(args) -> int:
     phi = parse_angle(args.phi)
     grid = ScanGrid(ScanAxis(AXIS_AREA, args.amin, args.amax, args.apoints),
                     ScanAxis(AXIS_DETUNING, args.dmin, args.dmax, args.dpoints))
-    if args.full:
-        system = random_system(args.N, args.seed)
-        result = scan_2d(family, phi, grid, full=True, system=system,
-                         substeps=args.substeps)
-    else:
-        result = scan_2d(family, phi, grid)
-    result.to_csv(args.out)
+    system = random_system(args.N, args.seed) if args.full else None
+    scan_2d(family, phi, grid, system=system).to_csv(args.out)
     return EXIT_OK
 
 
@@ -227,7 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, default=3, help="manifold dimension for --full")
     p.add_argument("--seed", type=int, default=0,
                    help="seed for the random reflection vector in --full mode")
-    p.add_argument("--substeps", type=int, default=1000)
     p.set_defaults(func=cmd_scan_2d)
 
     return parser

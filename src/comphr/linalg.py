@@ -87,16 +87,9 @@ class _SerialBlas:
 SERIAL_BLAS = _SerialBlas()
 
 
-def as_matrix(m, name: str = "matrix") -> np.ndarray:
-    a = np.asarray(m, dtype=complex)
-    if a.ndim != 2:
-        raise ValidationError(f"{name} must be two-dimensional, got shape {a.shape}")
-    return a
-
-
 def require_square(m, name: str = "matrix") -> np.ndarray:
-    a = as_matrix(m, name)
-    if a.shape[0] != a.shape[1]:
+    a = np.asarray(m, dtype=complex)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValidationError(f"{name} must be square, got shape {a.shape}")
     return a
 
@@ -134,15 +127,6 @@ def expm_hermitian_stack(h: np.ndarray, t) -> np.ndarray:
     w, v = np.linalg.eigh(h)
     phase = np.exp(-1j * np.asarray(t, dtype=float)[..., None] * w)
     return (v * phase[..., None, :]) @ v.conj().swapaxes(-1, -2)
-
-
-def frobenius_distance(x, y) -> float:
-    """sqrt(sum |x_jk - y_jk|^2) for same-shape matrices."""
-    a = as_matrix(x, "x")
-    b = as_matrix(y, "y")
-    if a.shape != b.shape:
-        raise ValidationError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return float(np.linalg.norm(a - b))
 
 
 def unitarity_defect(u) -> float:

@@ -9,8 +9,8 @@ Because the dark states are exact spectators, the manifold propagator is
 (I - |v><v|) + u00 |v><v| with u00 the bright-to-bright amplitude of the
 two-level composite at the rms parameters, so the infidelity collapses to
 |u00 - e^{i phi}| independently of the dimension and of v.  Scans use this
-two-level shortcut by default; full (N+1)-level propagation is available as a
-cross-check.
+two-level shortcut unless they are given a system, which they then propagate
+through all N+1 levels as a cross-check.
 """
 
 from __future__ import annotations
@@ -24,9 +24,9 @@ import numpy as np
 
 from .composite import PhaseList, gate_sequence
 from .errors import ValidationError
-from .linalg import frobenius_distance, require_square
+from .linalg import require_square
 from .npod import HouseholderTarget, NPodSystem, householder_matrix
-from .two_level import DEFAULT_SUBSTEPS, stack_chunks, star_propagator
+from .two_level import DEFAULT_SUBSTEPS, STACK_ELEMENTS, stack_chunks, star_propagator
 
 AXIS_AREA = "area_over_pi"
 AXIS_DETUNING = "detuning_over_omega"
@@ -56,8 +56,16 @@ class ScanAxis:
 
 @dataclass(frozen=True)
 class ScanGrid:
+    """One or two scan axes with at most STACK_ELEMENTS grid points in all."""
+
     axis1: ScanAxis
     axis2: ScanAxis | None = None
+
+    def __post_init__(self):
+        points = self.axis1.points * (1 if self.axis2 is None else self.axis2.points)
+        if points > STACK_ELEMENTS:
+            raise ValidationError(f"a scan grid holds at most {STACK_ELEMENTS} points, "
+                                  f"got {int(points)}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,25 +82,16 @@ class ScanResult:
             with open(f, "w", encoding="utf-8", newline="") as handle:
                 self.to_csv(handle)
             return
+        xs = self.grid.axis1.values()
         if self.grid.axis2 is None:
-            self._write_1d(f)
+            header = ",".join(["A_over_pi"] + [f"F_{label}" for label in self.labels])
+            blocks = [np.column_stack([xs, self.values.T])]
         else:
-            self._write_2d(f)
-
-    def _write_1d(self, f) -> None:
-        f.write(",".join(["A_over_pi"] + [f"F_{label}" for label in self.labels]) + "\n")
-        xs = self.grid.axis1.values()
-        for j, x in enumerate(xs):
-            row = [_fmt(x)] + [_fmt(self.values[i, j]) for i in range(len(self.labels))]
-            f.write(",".join(row) + "\n")
-
-    def _write_2d(self, f) -> None:
-        f.write("A_over_pi,Delta_over_Omega,F\n")
-        xs = self.grid.axis1.values()
-        ys = self.grid.axis2.values()
-        for i, x in enumerate(xs):
-            for j, y in enumerate(ys):
-                f.write(f"{_fmt(x)},{_fmt(y)},{_fmt(self.values[i, j])}\n")
+            header = "A_over_pi,Delta_over_Omega,F"
+            ys = self.grid.axis2.values()
+            blocks = (np.column_stack([np.full(ys.size, x), ys, row])
+                      for x, row in zip(xs, self.values))
+        _write_rows(f, header, blocks)
 
     def csv_text(self) -> str:
         buf = io.StringIO()
@@ -100,15 +99,29 @@ class ScanResult:
         return buf.getvalue()
 
 
-def _fmt(x) -> str:
-    return format(float(x), ".17g")
+#: Every number in an output file: 17 significant digits round-trip a float64.
+_NUMBER = "{:.17g}"
+#: Rows formatted per write, which bounds the text held in memory for any grid.
+_CSV_ROWS = 4096
+
+
+def _write_rows(f, header: str, blocks) -> None:
+    """Write the header line, then every row of each 2-D float block as CSV."""
+    f.write(header + "\n")
+    for block in blocks:
+        row = ",".join([_NUMBER] * block.shape[1]) + "\n"
+        for first in range(0, len(block), _CSV_ROWS):
+            part = block[first:first + _CSV_ROWS]
+            f.write((row * len(part)).format(*part.ravel().tolist()))
 
 
 def infidelity(actual, target) -> float:
     """Frobenius distance between equal-size square matrices (no phase alignment)."""
     a = require_square(actual, "actual")
     b = require_square(target, "target")
-    return frobenius_distance(a, b)
+    if a.shape != b.shape:
+        raise ValidationError(f"shape mismatch: {a.shape} vs {b.shape}")
+    return float(np.linalg.norm(a - b))
 
 
 def bb_infidelity_analytic(hr_phase: float, area: float, n: int):
@@ -137,17 +150,18 @@ def scan_area(families: Sequence[PhaseList], hr_phase: float, grid: ScanGrid) ->
     return ScanResult(grid=grid, labels=tuple(f.label for f in families), values=values)
 
 
-def scan_2d(family: PhaseList, hr_phase: float, grid: ScanGrid, *, full: bool = False,
+def scan_2d(family: PhaseList, hr_phase: float, grid: ScanGrid, *,
             system: NPodSystem | None = None,
             substeps: int = DEFAULT_SUBSTEPS) -> ScanResult:
     """Infidelity over an (area, detuning) grid for one family.
 
-    The default path evaluates the detuned two-level composite and the
-    manifold reconstruction |u00 - e^{i phi}|.  With full=True the given
-    system is propagated through all N+1 levels at every grid point instead,
-    and the manifold block is compared with the target reflection; this
-    cross-checks the shortcut.  The grid is then evaluated in chunks of at
-    most STACK_ELEMENTS propagator elements (see :mod:`comphr.two_level`).
+    Without a system this evaluates the detuned two-level composite and the
+    manifold reconstruction |u00 - e^{i phi}|.  A given system is propagated
+    through all N+1 levels at every grid point instead, with `substeps`
+    slices per shaped pulse, and the manifold block is compared with the
+    target reflection; this cross-checks the shortcut.  The grid is then
+    evaluated in chunks of at most STACK_ELEMENTS propagator elements (see
+    :mod:`comphr.two_level`).
     """
     if grid.axis2 is None:
         raise ValidationError("scan_2d takes a two-dimensional grid")
@@ -155,11 +169,9 @@ def scan_2d(family: PhaseList, hr_phase: float, grid: ScanGrid, *, full: bool = 
         raise ValidationError(f"scan_2d needs axes ({AXIS_AREA}, {AXIS_DETUNING})")
     areas = grid.axis1.values() * math.pi
     dets = grid.axis2.values()
-    if not full:
+    if system is None:
         values = _shortcut_infidelity(family, hr_phase, areas[:, None], dets[None, :])
     else:
-        if system is None:
-            raise ValidationError("full-propagation scans need an explicit system")
         n = system.n_states
         target = householder_matrix(HouseholderTarget(system.bright, hr_phase))
         phases = gate_sequence(family, 2.0 * hr_phase).pulse_phases

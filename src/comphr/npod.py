@@ -220,15 +220,18 @@ def manifold_block(u) -> np.ndarray:
 
 
 def composite_hr(sys: NPodSystem, family: PhaseList, hr_phase: float, area: float,
-                 detuning: float = 0.0, substeps: int = DEFAULT_SUBSTEPS) -> np.ndarray:
+                 detuning: float | None = None,
+                 substeps: int = DEFAULT_SUBSTEPS) -> np.ndarray:
     """Manifold propagator of the composite Householder sequence (alpha = 2*hr_phase).
 
-    At (area = pi, detuning = 0) the result equals
-    householder_matrix(v, hr_phase) with v the normalized coupling vector.
+    `detuning` overrides the system's own; None keeps `sys.detuning`.  At
+    (area = pi, detuning = 0) the result equals householder_matrix(v, hr_phase)
+    with v the normalized coupling vector.
     """
     seq = gate_sequence(family, 2.0 * hr_phase)
-    run = replace(sys, detuning=float(detuning))
-    return manifold_block(npod_propagator(run, seq, area, substeps))
+    if detuning is not None:
+        sys = replace(sys, detuning=float(detuning))
+    return manifold_block(npod_propagator(sys, seq, area, substeps))
 
 
 def random_system(n_states: int, seed: int = 0, shape: PulseShape | None = None) -> NPodSystem:

@@ -8,7 +8,7 @@ PUBLIC_API = [
     "PulseShape", "ScanAxis", "ScanGrid", "ScanResult",
     "ValidationError", "__version__", "bb_infidelity_analytic", "bb_phases",
     "composite_hr", "composite_phase_gate", "expm_hermitian", "family_from_config",
-    "family_to_config", "frobenius_distance", "gate_sequence", "gaussian",
+    "family_to_config", "gate_sequence", "gaussian",
     "householder_matrix", "infidelity", "manifold_block", "ms_reduce",
     "npod_hamiltonian", "npod_propagator", "pulse_propagator", "random_system",
     "rectangular", "resonant_propagator", "scan_2d", "scan_area",
@@ -18,7 +18,7 @@ PUBLIC_API = [
 
 
 def test_public_api_is_pinned():
-    assert len(PUBLIC_API) == 43
+    assert len(PUBLIC_API) == 42
     assert sorted(comphr.__all__) == PUBLIC_API
     missing = [name for name in comphr.__all__ if not hasattr(comphr, name)]
     assert missing == []

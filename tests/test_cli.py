@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -288,6 +289,28 @@ def test_scan_2d_full_mode_matches_default(tmp_path, capsys):
         assert fr.rsplit(",", 1)[0] == lr.rsplit(",", 1)[0]
         worst = max(worst, abs(float(fr.rsplit(",", 1)[1]) - float(lr.rsplit(",", 1)[1])))
     assert worst <= 1e-9
+
+
+def test_scan_2d_has_no_substeps_flag(tmp_path, capsys):
+    out = tmp_path / "map.csv"
+    code, _, _ = run(capsys, "scan-2d", "--full", "--substeps", "5", "--out", str(out))
+    assert code == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan-2d", "--apoints", "100000", "--dpoints", "100000"],
+    ["scan-2d", "--full", "--N", "3", "--apoints", "1024", "--dpoints", "1025"],
+    ["scan-area", "--points", str(2 ** 20 + 1)],
+])
+def test_oversized_grid_is_rejected_at_once(tmp_path, capsys, argv):
+    out = tmp_path / "scan.csv"
+    start = time.perf_counter()
+    code, _, err = run(capsys, *argv, "--out", str(out))
+    assert code == 2
+    assert "at most 1048576 points" in err
+    assert time.perf_counter() - start < 1.0
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [

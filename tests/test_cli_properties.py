@@ -97,7 +97,7 @@ def argvs(draw, tmp_path):
     if command == "scan-area":
         flags["--points"] = POINTS
     if command == "scan-2d":
-        flags.update({"--apoints": POINTS, "--dpoints": POINTS, "--substeps": SUBSTEPS})
+        flags.update({"--apoints": POINTS, "--dpoints": POINTS})
     if command in ("scan-area", "scan-2d") or (command == "hr" and draw(st.booleans())):
         # a file in a missing directory is an I/O error, exit 3
         flags["--out"] = st.sampled_from([tmp_path / "out", tmp_path / "missing" / "out"])

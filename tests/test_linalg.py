@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from comphr import ValidationError, expm_hermitian, frobenius_distance, unitarity_defect
+from comphr import ValidationError, expm_hermitian, unitarity_defect
 
 from oracle import rk4_propagator
 
@@ -61,26 +61,6 @@ def test_expm_output_is_unitary():
     for dim in (2, 4, 9):
         u = expm_hermitian(random_hermitian(rng, dim), rng.uniform(0, 10))
         assert unitarity_defect(u) <= 1e-12
-
-
-def test_frobenius_distance_examples():
-    m = np.array([[1.0, 2.0], [3.0, 4.0j]])
-    assert frobenius_distance(m, m) == 0.0
-    assert frobenius_distance(np.diag([1.0, 1.0]), np.diag([-1.0, 1.0])) == pytest.approx(2.0)
-    d = frobenius_distance(np.eye(3), np.diag([1j, 1.0, 1.0]))
-    assert d == pytest.approx(np.sqrt(2.0), abs=1e-15)
-    with pytest.raises(ValidationError):
-        frobenius_distance(np.eye(2), np.eye(3))
-
-
-def test_frobenius_distance_is_a_metric():
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        x, y, z = (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-                   for _ in range(3))
-        assert frobenius_distance(x, y) == pytest.approx(frobenius_distance(y, x))
-        assert frobenius_distance(x, z) <= (frobenius_distance(x, y)
-                                            + frobenius_distance(y, z) + 1e-12)
 
 
 def test_unitarity_defect_examples():

@@ -16,6 +16,7 @@ from comphr import (
     bb_infidelity_analytic,
     bb_phases,
     composite_hr,
+    gaussian,
     householder_matrix,
     infidelity,
     ms_reduce,
@@ -42,6 +43,25 @@ def test_infidelity_examples():
         infidelity(np.eye(2), np.eye(3))
     with pytest.raises(ValidationError):
         infidelity(np.zeros((2, 3)), np.zeros((2, 3)))
+
+
+def test_infidelity_frobenius_examples():
+    m = np.array([[1.0, 2.0], [3.0, 4.0j]])
+    assert infidelity(m, m) == 0.0
+    assert infidelity(np.diag([1.0, 1.0]), np.diag([-1.0, 1.0])) == pytest.approx(2.0)
+    d = infidelity(np.eye(3), np.diag([1j, 1.0, 1.0]))
+    assert d == pytest.approx(np.sqrt(2.0), abs=1e-15)
+    with pytest.raises(ValidationError):
+        infidelity(np.eye(2), np.eye(3))
+
+
+def test_infidelity_is_a_metric():
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        x, y, z = (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+                   for _ in range(3))
+        assert infidelity(x, y) == pytest.approx(infidelity(y, x))
+        assert infidelity(x, z) <= infidelity(x, y) + infidelity(y, z) + 1e-12
 
 
 def test_infidelity_of_simulated_reflection():
@@ -123,6 +143,16 @@ def test_scan_area_validation():
         ScanAxis("amplitude", 0.0, 2.0, 11)
 
 
+def test_scan_grid_holds_at_most_stack_elements_points():
+    limit = two_level.STACK_ELEMENTS
+    ScanGrid(ScanAxis(AXIS_AREA, 0.0, 2.0, limit))
+    ScanGrid(ScanAxis(AXIS_AREA, 0.0, 2.0, 1024), ScanAxis(AXIS_DETUNING, -1.0, 1.0, limit // 1024))
+    with pytest.raises(ValidationError):
+        ScanGrid(ScanAxis(AXIS_AREA, 0.0, 2.0, limit + 1))
+    with pytest.raises(ValidationError):
+        ScanGrid(ScanAxis(AXIS_AREA, 0.0, 2.0, 1024), ScanAxis(AXIS_DETUNING, -1.0, 1.0, 1025))
+
+
 # --- 2D scans ---------------------------------------------------------------------------
 
 def grid_2d(points=11):
@@ -145,8 +175,22 @@ def test_scan_2d_full_mode_agrees_with_shortcut():
     fam = universal_phases(5, 2)
     fast = scan_2d(fam, PI, grid)
     sys = random_system(3, seed=7)
-    full = scan_2d(fam, PI, grid, full=True, system=sys)
+    full = scan_2d(fam, PI, grid, system=sys)
     assert np.max(np.abs(fast.values - full.values)) <= 1e-9
+
+
+def test_scan_2d_with_a_system_propagates_it():
+    sys = random_system(3, seed=7, shape=gaussian())
+    fam = universal_phases(3, 1)
+    grid = ScanGrid(ScanAxis(AXIS_AREA, 0.8, 1.2, 3), ScanAxis(AXIS_DETUNING, -0.3, 0.3, 3))
+    full = scan_2d(fam, PI, grid, system=sys, substeps=20)
+    target = householder_matrix(HouseholderTarget(ms_reduce(sys).bright, PI))
+    for i, area in enumerate(grid.axis1.values() * PI):
+        for j, det in enumerate(grid.axis2.values()):
+            block = composite_hr(sys, fam, PI, area, det, substeps=20)
+            assert abs(infidelity(block, target) - full.values[i, j]) <= 1e-12
+    # the Gaussian envelope moves the map away from the rectangular shortcut
+    assert np.max(np.abs(full.values - scan_2d(fam, PI, grid).values)) > 1e-3
 
 
 def traced_peak(run):
@@ -164,9 +208,9 @@ def test_full_scan_memory_is_bounded_by_the_stack_chunk(monkeypatch):
     fam = universal_phases(5, 2)
     chunk = 1 << 16
     assert 15 * 15 * 51 ** 2 >= 8 * chunk  # the unchunked stack holds >= 8 chunks
-    whole, whole_peak = traced_peak(lambda: scan_2d(fam, PI, grid, full=True, system=system))
+    whole, whole_peak = traced_peak(lambda: scan_2d(fam, PI, grid, system=system))
     monkeypatch.setattr(two_level, "STACK_ELEMENTS", chunk)
-    chunked, chunked_peak = traced_peak(lambda: scan_2d(fam, PI, grid, full=True, system=system))
+    chunked, chunked_peak = traced_peak(lambda: scan_2d(fam, PI, grid, system=system))
     chunk_bytes = 16 * chunk
     assert chunked_peak <= 8 * chunk_bytes < whole_peak
     assert np.max(np.abs(chunked.values - whole.values)) <= 1e-13
@@ -175,8 +219,6 @@ def test_full_scan_memory_is_bounded_by_the_stack_chunk(monkeypatch):
 def test_scan_2d_validation():
     with pytest.raises(ValidationError):
         scan_2d(bb_phases(1), PI, area_grid())
-    with pytest.raises(ValidationError):
-        scan_2d(bb_phases(1), PI, grid_2d(5), full=True)  # no system given
 
 
 # --- CSV serialization ---------------------------------------------------------------

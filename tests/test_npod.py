@@ -318,6 +318,13 @@ def test_composite_hr_independent_of_dimension_and_vector():
     assert np.std(values) <= 1e-10
 
 
+def test_composite_hr_defaults_to_the_system_detuning():
+    sys = replace(random_system(3, seed=2), detuning=0.3)
+    block = composite_hr(sys, bb_phases(3), PI, 0.9 * PI)
+    assert np.array_equal(block, composite_hr(sys, bb_phases(3), PI, 0.9 * PI, 0.3))
+    assert not np.allclose(block, composite_hr(sys, bb_phases(3), PI, 0.9 * PI, 0.0))
+
+
 def test_n1_composite_hr_block_is_gate_element():
     sys = NPodSystem((1.0,), (0.0,))
     block = composite_hr(sys, bb_phases(1), PI, 0.8 * PI, 0.0)
