@@ -12,6 +12,7 @@ from comphr import (
     HouseholderTarget,
     ScanAxis,
     ScanGrid,
+    ScanResult,
     ValidationError,
     bb_infidelity_analytic,
     bb_phases,
@@ -258,3 +259,37 @@ def test_csv_file_output_deterministic(tmp_path):
     result.to_csv(str(p2))
     assert p1.read_bytes() == p2.read_bytes()
     assert p1.read_text() == result.csv_text()
+
+
+def per_value_csv(result):
+    """The CSV text built one `format(x, ".17g")` call per value: the reference format."""
+    def fmt(x):
+        return format(float(x), ".17g")
+
+    xs = result.grid.axis1.values()
+    if result.grid.axis2 is None:
+        lines = [",".join(["A_over_pi"] + [f"F_{label}" for label in result.labels])]
+        lines += [",".join([fmt(x)] + [fmt(v) for v in result.values[:, j]])
+                  for j, x in enumerate(xs)]
+    else:
+        lines = ["A_over_pi,Delta_over_Omega,F"]
+        lines += [f"{fmt(x)},{fmt(y)},{fmt(result.values[i, j])}"
+                  for i, x in enumerate(xs) for j, y in enumerate(result.grid.axis2.values())]
+    return "\n".join(lines) + "\n"
+
+
+def test_csv_matches_the_per_value_format():
+    # more rows than one formatted batch, and values at the edges of the float range
+    rng = np.random.default_rng(9)
+    edges = [-0.0, 5e-324, 1e-300, 1e17, 1 / 3, np.nan, np.inf, -np.inf]
+    one = rng.standard_normal((2, 5000))
+    one[0, :8] = edges
+    two = rng.standard_normal((3, 4500))
+    two[:, -8:] = edges
+    results = [
+        ScanResult(area_grid(5000), ("a", "b"), one),
+        ScanResult(ScanGrid(ScanAxis(AXIS_AREA, 0.0, 2.0, 3),
+                            ScanAxis(AXIS_DETUNING, -2.0, 2.0, 4500)), ("c",), two),
+    ]
+    for result in results:
+        assert result.csv_text() == per_value_csv(result)
