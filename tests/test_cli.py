@@ -8,8 +8,19 @@ import time
 import numpy as np
 import pytest
 
-from comphr import bb_phases, composite_phase_gate
+from comphr import (
+    AXIS_AREA,
+    AXIS_DETUNING,
+    ScanAxis,
+    ScanGrid,
+    ScanResult,
+    bb_phases,
+    composite_phase_gate,
+    gate_sequence,
+    universal_phases,
+)
 from comphr.cli import main, parse_angle
+from comphr.linalg import expm_hermitian_stack
 
 PI = math.pi
 
@@ -244,6 +255,64 @@ def test_scan_csv_bytes_are_pinned(tmp_path, capsys, argv, digest):
     code, _, _ = run(capsys, *argv, "--out", str(out))
     assert code == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def reference_shortcut(family, hr_phase, areas, detunings):
+    """|u00 - e^{i phi}| by the first two-level shortcut path, the reference for its digests.
+
+    One spectral decomposition per grid point, then one batched 2x2 matmul
+    per pulse, each pulse the phase-0 propagator with e^{ip} on u[0,1] and
+    e^{-ip} on u[1,0].
+    """
+    phases = gate_sequence(family, 2.0 * hr_phase).pulse_phases
+    a, d = np.broadcast_arrays(np.asarray(areas, dtype=float), np.asarray(detunings, dtype=float))
+    h = np.zeros(a.shape + (2, 2), dtype=complex)
+    h[..., 0, 1] = h[..., 1, 0] = 0.5
+    h[..., 1, 1] = d
+    u0 = expm_hermitian_stack(h, a)
+    sign = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    u = None
+    for p in phases:
+        pulse = u0 * np.exp(1j * p * sign)
+        u = pulse if u is None else pulse @ u
+    return np.abs(u[..., 0, 0] - np.exp(1j * hr_phase))
+
+
+def reference_scan(families, hr_phase, grid):
+    """The ScanResult of the reference shortcut path on a 1D or 2D grid."""
+    areas = grid.axis1.values() * PI
+    if grid.axis2 is None:
+        values = np.stack([reference_shortcut(f, hr_phase, areas, 0.0) for f in families])
+    else:
+        values = reference_shortcut(families[0], hr_phase, areas[:, None],
+                                    grid.axis2.values()[None, :])
+    return ScanResult(grid, tuple(f.label for f in families), values)
+
+
+def map_grid(points):
+    return ScanGrid(ScanAxis(AXIS_AREA, 0.0, 2.0, points), ScanAxis(AXIS_DETUNING, -2.0, 2.0, points))
+
+
+#: Shortcut scans with their reference inputs: (argv, families, reflection phase, grid).
+SHORTCUT_SCANS = {
+    "scan-area": (GOLDEN_CSV[0][0], [bb_phases(n) for n in (1, 3, 5, 9)], PI / 2,
+                  ScanGrid(ScanAxis(AXIS_AREA, 0.0, 2.0, 161))),
+    "scan-2d": (GOLDEN_CSV[1][0], [universal_phases(5, 2)], PI, map_grid(11)),
+}
+
+#: sha256 of the reference path's CSVs; the CLI wrote the same bytes when
+#: these digests were taken.
+REFERENCE_CSV = {
+    "scan-area": "18e53d366a7ad0afe8057774fc4155a56546b5d45eb7ebe172bd590a9f86ae59",
+    "scan-2d": "8f5e717617c293b777e987d04d6fa2b4bf4ed614fb398938e937ffaf68230dad",
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_CSV))
+def test_reference_shortcut_path_keeps_the_old_digests(name):
+    _, families, phi, grid = SHORTCUT_SCANS[name]
+    text = reference_scan(families, phi, grid).csv_text()
+    assert hashlib.sha256(text.encode()).hexdigest() == REFERENCE_CSV[name]
 
 
 def test_scan_area_bad_n_list(tmp_path, capsys):
