@@ -26,7 +26,7 @@ from .composite import PhaseList, gate_sequence
 from .errors import ValidationError
 from .linalg import require_square
 from .npod import HouseholderTarget, NPodSystem, householder_matrix
-from .two_level import DEFAULT_SUBSTEPS, STACK_ELEMENTS, stack_chunks, star_propagator
+from .two_level import DEFAULT_SUBSTEPS, STACK_ELEMENTS, grid_chunks, star_propagator
 
 AXIS_AREA = "area_over_pi"
 AXIS_DETUNING = "detuning_over_omega"
@@ -45,7 +45,7 @@ class ScanAxis:
     def __post_init__(self):
         if self.name not in _AXIS_NAMES:
             raise ValidationError(f"axis name must be one of {_AXIS_NAMES}, got {self.name!r}")
-        if int(self.points) != self.points or self.points < 2:
+        if not (math.isfinite(self.points) and self.points >= 2 and int(self.points) == self.points):
             raise ValidationError("an axis needs at least 2 points")
         if not (np.isfinite(self.start) and np.isfinite(self.stop) and self.start < self.stop):
             raise ValidationError("axis range must satisfy start < stop")
@@ -160,8 +160,10 @@ def scan_2d(family: PhaseList, hr_phase: float, grid: ScanGrid, *,
     through all N+1 levels at every grid point instead, with `substeps`
     slices per shaped pulse, and the manifold block is compared with the
     target reflection; this cross-checks the shortcut.  The grid is then
-    evaluated in chunks of at most STACK_ELEMENTS propagator elements (see
-    :mod:`comphr.two_level`).
+    evaluated in blocks of area rows (a row split into detuning ranges if it
+    is longer) of at most STACK_ELEMENTS propagator elements, and each block
+    decomposes its detunings once, not once per point (see
+    :func:`comphr.two_level.grid_chunks` and ``star_propagator``).
     """
     if grid.axis2 is None:
         raise ValidationError("scan_2d takes a two-dimensional grid")
@@ -175,10 +177,9 @@ def scan_2d(family: PhaseList, hr_phase: float, grid: ScanGrid, *,
         n = system.n_states
         target = householder_matrix(HouseholderTarget(system.bright, hr_phase))
         phases = gate_sequence(family, 2.0 * hr_phase).pulse_phases
-        a, d = (x.reshape(-1) for x in np.meshgrid(areas, dets, indexing="ij"))
-        values = np.empty(a.size)
-        for rows in stack_chunks(a.size, (n + 1) ** 2):
-            u = star_propagator(system.bright, phases, a[rows], d[rows], system.shape, substeps)
-            values[rows] = np.linalg.norm(u[:, :n, :n] - target, axis=(-2, -1))
-        values = values.reshape(areas.size, dets.size)
+        values = np.empty((areas.size, dets.size))
+        for rows, cols in grid_chunks(areas.size, dets.size, (n + 1) ** 2):
+            u = star_propagator(system.bright, phases, areas[rows, None], dets[None, cols],
+                                system.shape, substeps)
+            values[rows, cols] = np.linalg.norm(u[..., :n, :n] - target, axis=(-2, -1))
     return ScanResult(grid=grid, labels=(family.label,), values=values)

@@ -23,6 +23,13 @@ the unit of frequency):
   entry), NOT renormalized to unit determinant: the multilevel reduction in
   :mod:`comphr.npod` consumes the literal element u[0,0] of this frame.
 
+* A rectangular pulse of duration T has determinant e^{-i Delta T}: it is
+  the frame phase e^{-i Delta T/2} times an SU(2) matrix.  A train of such
+  pulses is therefore fixed by its first row and the frame phase it has
+  accumulated, which is how the kernel composes rectangular two-level
+  trains (Cayley-Klein form).  Its generator depends on the detuning
+  alone, so the kernel decomposes each detuning once, whatever the areas.
+
 The single pulse above is ``star_propagator((1.0,), (phi,), A, Delta, shape,
 substeps)``.  :func:`star_propagator` computes every propagator of the
 package except two: :func:`resonant_propagator`, the closed form that tests
@@ -179,9 +186,21 @@ def stack_chunks(count: int, elements_each: int):
 
     Each range holds at most STACK_ELEMENTS elements, and at least one item.
     """
-    step = max(1, STACK_ELEMENTS // elements_each)
+    step = max(1, STACK_ELEMENTS // max(1, elements_each))
     for first in range(0, count, step):
         yield slice(first, min(first + step, count))
+
+
+def grid_chunks(rows: int, cols: int, elements_each: int):
+    """(row range, column range) blocks over a rows x cols grid of `elements_each`-element items.
+
+    Blocks take whole rows while a row fits in STACK_ELEMENTS elements; a
+    longer row is split into column ranges.  Each block holds at most
+    STACK_ELEMENTS elements, and at least one item.
+    """
+    for r in stack_chunks(rows, cols * elements_each):
+        for c in stack_chunks(cols, (r.stop - r.start) * elements_each):
+            yield r, c
 
 
 def time_ordered_product(u: np.ndarray) -> np.ndarray:
@@ -240,13 +259,19 @@ def star_propagator(bright, pulse_phases, areas, detunings=0.0,
     broadcast(areas, detunings) + (N+1, N+1).  The two-level propagator of
     this module's frame is the case bright = [1].
 
-    Every grid point takes one spectral decomposition at drive phase 0, or
-    one per slice for a shaped envelope, whose `substeps` midpoint slices
-    are multiplied by :func:`slice_product`.  A drive phase p is the diagonal
-    conjugation D u D^dagger with D = diag(e^{ip}, ..., e^{ip}, 1), applied
-    as an elementwise rescale, so each pulse after the first costs one
-    batched matmul.  The grid is evaluated in chunks whose stacks stay within
-    STACK_ELEMENTS elements, on one BLAS thread (see linalg.SERIAL_BLAS).
+    A generator depends on the detuning and the envelope, not on the area,
+    so the detunings are decomposed as passed, before they broadcast against
+    the areas: a rectangular pulse takes one spectral decomposition per
+    detuning (an outer grid ``areas[:, None]``, ``detunings[None, :]`` takes
+    one per column), a shaped one takes one per detuning and slice, whose
+    `substeps` midpoint slices are multiplied by :func:`slice_product`.  A
+    drive phase p is the diagonal conjugation D u D^dagger with
+    D = diag(e^{ip}, ..., e^{ip}, 1), applied as an elementwise rescale.  A
+    rectangular two-level train is composed in Cayley-Klein form, a few
+    elementwise updates per pulse (see :func:`_two_level_train`); any other
+    train takes one batched matmul per pulse after the first.  The grid is
+    evaluated in blocks whose stacks stay within STACK_ELEMENTS elements, on
+    one BLAS thread (see linalg.SERIAL_BLAS).
     """
     coupling = np.asarray(bright, dtype=complex).reshape(-1)
     norm = float(np.linalg.norm(coupling))
@@ -256,7 +281,8 @@ def star_propagator(bright, pulse_phases, areas, detunings=0.0,
     phases = tuple(float(p) for p in pulse_phases)
     if not phases or not all(math.isfinite(p) for p in phases):
         raise ValidationError("a pulse train needs at least one finite drive phase")
-    a, d = np.broadcast_arrays(np.asarray(areas, dtype=float), np.asarray(detunings, dtype=float))
+    a, d = np.asarray(areas, dtype=float), np.asarray(detunings, dtype=float)
+    grid = np.broadcast_shapes(a.shape, d.shape)
     if not (np.all(np.isfinite(a)) and np.all(a >= 0.0)):
         raise ValidationError("areas must be finite and >= 0")
     if not np.all(np.isfinite(d)):
@@ -264,25 +290,30 @@ def star_propagator(bright, pulse_phases, areas, detunings=0.0,
     dim = coupling.size + 1
     sliced = shape.kind != RECTANGULAR
     count = _slice_count(substeps) if sliced else 1
-    durations = (a / shape.unit_integral()).reshape(-1)
-    dets = d.reshape(-1)
-    parts = []
+    # rows x cols view of the grid: the detunings repeat over the leading
+    # axes they broadcast along, so every row sees the same `dets`.
+    d_axes = (1,) * (len(grid) - d.ndim) + d.shape
+    lead = next((k for k, size in enumerate(d_axes) if size != 1), len(grid))
+    dets = np.broadcast_to(d.reshape(d_axes[lead:]), grid[lead:]).reshape(-1)
+    durations = np.broadcast_to(a / shape.unit_integral(), grid).reshape(math.prod(grid[:lead]),
+                                                                       dets.size)
+    out = np.empty(durations.shape + (dim, dim), dtype=complex)
     with SERIAL_BLAS:
-        for rows in stack_chunks(durations.size, count * dim * dim):
+        for rows, cols in grid_chunks(*durations.shape, count * dim * dim):
+            t, det = durations[rows, cols], dets[cols]
             if sliced:
-                det = dets[rows, None]
-
                 def generators(first, last):
                     mid = (np.arange(first, last) + 0.5) / count
-                    return _star_generators(coupling, shape.envelope(mid), det)
+                    return _star_generators(coupling, shape.envelope(mid), det[:, None])
 
-                u = slice_product(generators, count, durations[rows, None] / count,
-                                  det.size * dim * dim)
+                u = slice_product(generators, count, t[..., None] / count, t.size * dim * dim)
             else:
-                u = expm_hermitian_stack(_star_generators(coupling, 1.0, dets[rows]),
-                                         durations[rows])
-            parts.append(_pulse_train(u, phases))
-    return (parts[0] if len(parts) == 1 else np.concatenate(parts)).reshape(a.shape + (dim, dim))
+                u = expm_hermitian_stack(_star_generators(coupling, 1.0, det), t)
+            if dim == 2 and not sliced:
+                out[rows, cols] = _two_level_train(u, det * t, phases)
+            else:
+                out[rows, cols] = _pulse_train(u, phases)
+    return out.reshape(grid + (dim, dim))
 
 
 def _slice_count(substeps) -> int:
@@ -319,4 +350,34 @@ def _pulse_train(u0: np.ndarray, phases: tuple[float, ...]) -> np.ndarray:
     for p in phases:
         pulse = u0 * np.exp(1j * p * sign)
         u = pulse if u is None else pulse @ u
+    return u
+
+
+def _two_level_train(u0: np.ndarray, phase_area, phases: tuple[float, ...]) -> np.ndarray:
+    """:func:`_pulse_train` of a rectangular two-level pulse u0, by elementwise Cayley-Klein updates.
+
+    The generator has trace Delta, so u0 = f S with S in SU(2) and the frame
+    f = e^{-i Delta T / 2}; `phase_area` is Delta T.  A product of k pulses
+    is then f^k times an SU(2) matrix, fixed by its row 0 (x, y) and the
+    frame g = f^{2k} = e^{-i k Delta T}: its row 1 is (-g conj(y), g conj(x)).
+    Each pulse with u0[0,0] = a and u0[0,1] e^{ip} = q maps row 0 to
+    (a x - q g conj(y), a y + q g conj(x)) and g to g e^{-i Delta T}.
+    """
+    # Every product takes named operands and writes a new array.  numpy rounds
+    # a complex product worked in place (or into a large temporary operand,
+    # which it reuses) differently, so the bits would depend on the block size.
+    a = u0[..., 0, 0].copy()
+    b = u0[..., 0, 1].copy()
+    step = np.exp(-1j * phase_area)
+    x, y, g = a, b * np.exp(1j * phases[0]), step
+    for p in phases[1:]:
+        q = b * np.exp(1j * p)
+        qg = q * g
+        xc, yc = x.conj(), y.conj()
+        x, y = a * x - qg * yc, a * y + qg * xc
+        g = g * step
+    xc, yc = x.conj(), y.conj()
+    u = np.empty_like(u0)
+    u[..., 0, 0], u[..., 0, 1] = x, y
+    u[..., 1, 0], u[..., 1, 1] = -(g * yc), g * xc
     return u

@@ -236,14 +236,21 @@ def test_scan_area_deterministic_bytes(tmp_path, capsys):
 
 
 #: sha256 of the CSV files these commands wrote when the digests were taken
-#: (x86-64, numpy 2.4 with its bundled OpenBLAS).  Every value carries 17
-#: significant digits, so a change in the last bit of any number, or in the
-#: formatting, changes the digest.
+#: (x86-64, numpy 2.4 with its bundled OpenBLAS, which picked its SkylakeX
+#: kernels at run time; print the choice with
+#: `OPENBLAS_VERBOSE=2 python -c "import numpy.linalg"`).  Every value carries
+#: 17 significant digits, so a change in the last bit of any number, or in the
+#: formatting, changes the digest.  All three digests fail with
+#: OPENBLAS_CORETYPE=Haswell, Sandybridge or Prescott: another BLAS kernel
+#: rounds some eigenvalues differently, which is no fault of the program.
+#: The two shortcut digests were taken after the two-level pulse train moved
+#: to Cayley-Klein form; test_shortcut_scans_match_the_reference_path ties
+#: them to the older path.
 GOLDEN_CSV = [
     (["scan-area", "--n", "1,3,5,9", "--phi", "pi/2", "--points", "161"],
-     "18e53d366a7ad0afe8057774fc4155a56546b5d45eb7ebe172bd590a9f86ae59"),
+     "14981005dd657e2e9d494ac59e3f0104848a896477c02fc90cab5117e0ddb121"),
     (["scan-2d", "--apoints", "11", "--dpoints", "11"],
-     "8f5e717617c293b777e987d04d6fa2b4bf4ed614fb398938e937ffaf68230dad"),
+     "d0dde6a19f4a415884137cd82639b963ff3c2f3f9d95d84e0fad99e85db046b7"),
     (["scan-2d", "--apoints", "11", "--dpoints", "11", "--full", "--N", "3", "--seed", "7"],
      "c0f9c42253bd18a660a9da1b9b1104b9b52d3476c2482807a7d70931d1763161"),
 ]
@@ -294,14 +301,21 @@ def map_grid(points):
 
 
 #: Shortcut scans with their reference inputs: (argv, families, reflection phase, grid).
+#: The last three are the maps of the benchmark's map-shortcut workload.
 SHORTCUT_SCANS = {
     "scan-area": (GOLDEN_CSV[0][0], [bb_phases(n) for n in (1, 3, 5, 9)], PI / 2,
                   ScanGrid(ScanAxis(AXIS_AREA, 0.0, 2.0, 161))),
     "scan-2d": (GOLDEN_CSV[1][0], [universal_phases(5, 2)], PI, map_grid(11)),
+    "u5v2-301": (["scan-2d", "--apoints", "301", "--dpoints", "301"],
+                 [universal_phases(5, 2)], PI, map_grid(301)),
+    "bb1-301": (["scan-2d", "--family", "bb", "--n", "1", "--apoints", "301", "--dpoints", "301"],
+                [bb_phases(1)], PI, map_grid(301)),
+    "bb9-301": (["scan-2d", "--family", "bb", "--n", "9", "--phi", "pi/2",
+                 "--apoints", "301", "--dpoints", "301"], [bb_phases(9)], PI / 2, map_grid(301)),
 }
 
-#: sha256 of the reference path's CSVs; the CLI wrote the same bytes when
-#: these digests were taken.
+#: sha256 of the reference path's CSVs; before the Cayley-Klein pulse train
+#: the CLI wrote the same bytes (the first GOLDEN_CSV digests).
 REFERENCE_CSV = {
     "scan-area": "18e53d366a7ad0afe8057774fc4155a56546b5d45eb7ebe172bd590a9f86ae59",
     "scan-2d": "8f5e717617c293b777e987d04d6fa2b4bf4ed614fb398938e937ffaf68230dad",
@@ -313,6 +327,18 @@ def test_reference_shortcut_path_keeps_the_old_digests(name):
     _, families, phi, grid = SHORTCUT_SCANS[name]
     text = reference_scan(families, phi, grid).csv_text()
     assert hashlib.sha256(text.encode()).hexdigest() == REFERENCE_CSV[name]
+
+
+@pytest.mark.parametrize("name", SHORTCUT_SCANS)
+def test_shortcut_scans_match_the_reference_path(tmp_path, capsys, name):
+    argv, families, phi, grid = SHORTCUT_SCANS[name]
+    out = tmp_path / "scan.csv"
+    code, _, _ = run(capsys, *argv, "--out", str(out))
+    assert code == 0
+    rows = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
+    reference = reference_scan(families, phi, grid).values
+    values = rows[:, 1:].T if grid.axis2 is None else rows[:, 2].reshape(reference.shape)
+    assert np.max(np.abs(values - reference)) <= 1e-13
 
 
 def test_scan_area_bad_n_list(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Infidelity metrics, the analytic broadband law, and the scan drivers."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -144,6 +145,12 @@ def test_scan_area_validation():
         ScanAxis("amplitude", 0.0, 2.0, 11)
 
 
+@pytest.mark.parametrize("points", [float("inf"), float("nan"), 2.5])
+def test_scan_axis_rejects_a_point_count_that_is_no_integer(points):
+    with pytest.raises(ValidationError):
+        ScanAxis(AXIS_AREA, 0.0, 2.0, points)
+
+
 def test_scan_grid_holds_at_most_stack_elements_points():
     limit = two_level.STACK_ELEMENTS
     ScanGrid(ScanAxis(AXIS_AREA, 0.0, 2.0, limit))
@@ -215,6 +222,62 @@ def test_full_scan_memory_is_bounded_by_the_stack_chunk(monkeypatch):
     chunk_bytes = 16 * chunk
     assert chunked_peak <= 8 * chunk_bytes < whole_peak
     assert np.max(np.abs(chunked.values - whole.values)) <= 1e-13
+
+
+def record_stacks(monkeypatch):
+    """Route two_level.expm_hermitian_stack through a recorder of the stacks it handles.
+
+    Returns the list of (matrices decomposed, elements of the result) per call.
+    """
+    calls = []
+    exponential = two_level.expm_hermitian_stack
+
+    def recorded(h, t):
+        u = exponential(h, t)
+        calls.append((math.prod(h.shape[:-2]), u.size))
+        return u
+
+    monkeypatch.setattr(two_level, "expm_hermitian_stack", recorded)
+    return calls
+
+
+def test_each_scan_decomposes_each_detuning_once(monkeypatch):
+    calls = record_stacks(monkeypatch)
+    scan_2d(universal_phases(5, 2), PI, grid_2d(301))
+    assert sum(n for n, _ in calls) == 301
+    calls.clear()
+    scan_area([bb_phases(n) for n in (1, 3, 5, 9)], PI / 2, area_grid(161))
+    assert [n for n, _ in calls] == [1] * 4
+    calls.clear()
+    grid = ScanGrid(ScanAxis(AXIS_AREA, 0.5, 1.5, 41), ScanAxis(AXIS_DETUNING, -1.0, 1.0, 41))
+    scan_2d(universal_phases(5, 2), PI, grid, system=random_system(3, seed=7))
+    assert sum(n for n, _ in calls) == 41
+    calls.clear()
+    # a shaped pulse decomposes each detuning once per slice
+    scan_2d(universal_phases(3, 1), PI, grid_2d(3), system=random_system(3, seed=7, shape=gaussian()),
+            substeps=20)
+    assert sum(n for n, _ in calls) == 3 * 20
+
+
+def test_a_row_longer_than_one_chunk_is_split(monkeypatch):
+    system = random_system(3, seed=5)
+    grid = ScanGrid(ScanAxis(AXIS_AREA, 0.5, 1.5, 3), ScanAxis(AXIS_DETUNING, -1.0, 1.0, 6000))
+    fam = universal_phases(5, 2)
+    chunk = 1 << 12
+    assert 6000 * 4 ** 2 >= 8 * chunk  # one row of the full scan holds >= 8 chunks
+    whole, whole_peak = traced_peak(lambda: scan_2d(fam, PI, grid, system=system))
+    fast = scan_2d(fam, PI, grid)
+    monkeypatch.setattr(two_level, "STACK_ELEMENTS", chunk)
+    calls = record_stacks(monkeypatch)
+    chunked, chunked_peak = traced_peak(lambda: scan_2d(fam, PI, grid, system=system))
+    assert max(size for _, size in calls) <= chunk
+    # the result and the detuning axis, and at most 8 chunk-sized stacks besides
+    held = chunked.values.nbytes + grid.axis2.values().nbytes
+    assert chunked_peak <= held + 8 * 16 * chunk < whole_peak
+    assert np.array_equal(chunked.values, whole.values)
+    calls.clear()
+    assert np.array_equal(scan_2d(fam, PI, grid).values, fast.values)
+    assert max(size for _, size in calls) <= chunk
 
 
 def test_scan_2d_validation():

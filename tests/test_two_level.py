@@ -16,6 +16,7 @@ from comphr import (
     tabulated,
 )
 
+from comphr.linalg import expm_hermitian_stack
 from oracle import rk4_propagator, two_level_hamiltonian
 
 PI = np.pi
@@ -177,6 +178,75 @@ def test_apply_phase_leaves_diagonal():
     shifted = pulse(2.0, detuning=0.5, phase=1.1)
     assert shifted[0, 0] == u[0, 0]
     assert shifted[1, 1] == u[1, 1]
+
+
+def matmul_train(bright, phases, areas, detunings):
+    """Two-level pulse train by one batched 2x2 matmul per pulse, the first phase acting first."""
+    h = np.zeros(np.shape(detunings) + (2, 2), dtype=complex)
+    h[..., 0, 1], h[..., 1, 0], h[..., 1, 1] = 0.5 * bright[0], 0.5 * np.conj(bright[0]), detunings
+    u0 = expm_hermitian_stack(h, areas)
+    u = None
+    for p in phases:
+        pulse = rephase(u0, p)
+        u = pulse if u is None else pulse @ u
+    return u
+
+
+def test_cayley_klein_train_matches_the_matmul_train():
+    # Both trains round each pulse's frame phase Delta*A (up to 314 rad
+    # here), so they may part by about eps per radian of it.
+    rng = np.random.default_rng(12)
+    for count in range(1, 20):
+        bright = (np.exp(1j * rng.uniform(-PI, PI)),)
+        phases = tuple(rng.uniform(-PI, PI, count))
+        areas = rng.uniform(0.0, 2 * PI, (12, 1))
+        areas[0] = 0.0
+        dets = rng.uniform(-50.0, 50.0, 15)
+        dets[0] = 0.0
+        u = star_propagator(bright, phases, areas, dets)
+        deviation = np.max(np.abs(u - matmul_train(bright, phases, areas, dets)), axis=(-2, -1))
+        assert np.all(deviation <= 1e-13 * (1.0 + np.abs(dets) * areas))
+
+
+def test_cayley_klein_train_is_the_same_for_any_block():
+    # a point's bits do not depend on the grid around it or on the block size
+    phases = (0.3, 2.1, -1.0, 0.7)
+    areas = np.linspace(0.0, 2 * PI, 9)[:, None]
+    dets = np.linspace(-3.0, 3.0, 4001)
+    grid = star_propagator((1.0,), phases, areas, dets)
+    assert np.array_equal(star_propagator((1.0,), phases, areas[4, 0], dets[17]), grid[4, 17])
+    assert np.array_equal(star_propagator((1.0,), phases, areas[2:4], dets[None, :5]), grid[2:4, :5])
+
+
+BROADCASTS = {
+    "outer": ((4, 1), (1, 3)),
+    "detunings-outer": ((3,), (4, 1)),
+    "one-area": ((), (2, 3)),
+    "one-detuning-axis": ((2, 3), (3,)),
+    "both-full": ((2, 3), (2, 3)),
+    "three-axes": ((2, 1, 3), (4, 1)),
+}
+
+
+@pytest.mark.parametrize("bright, shape", [((1.0,), rectangular()), ((1.0, 2j), rectangular()),
+                                           ((1.0,), gaussian())], ids=["2lvl", "3lvl", "shaped"])
+@pytest.mark.parametrize("area_shape, det_shape", BROADCASTS.values(), ids=BROADCASTS.keys())
+def test_every_broadcast_grid_matches_point_by_point(bright, shape, area_shape, det_shape):
+    rng = np.random.default_rng(3)
+    areas = rng.uniform(0.0, 2 * PI, area_shape)
+    dets = rng.uniform(-2.0, 2.0, det_shape)
+    phases = (0.4, -1.3, 2.0)
+    u = star_propagator(bright, phases, areas, dets, shape, 20)
+    a, d = np.broadcast_arrays(areas, dets)
+    assert u.shape == a.shape + (len(bright) + 1,) * 2
+    for k in np.ndindex(a.shape):
+        assert np.array_equal(u[k], star_propagator(bright, phases, a[k], d[k], shape, 20))
+
+
+def test_an_empty_grid_gives_an_empty_stack():
+    assert star_propagator((1.0,), (0.0,), [], 0.0).shape == (0, 2, 2)
+    assert star_propagator((1.0, 1j), (0.0,), np.ones((3, 1)), np.zeros((1, 0))).shape == (3, 0, 3, 3)
+    assert star_propagator((1.0,), (0.0,), [], 0.1, gaussian(), 10).shape == (0, 2, 2)
 
 
 # --- shaped pulses ------------------------------------------------------------------
