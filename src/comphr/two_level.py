@@ -310,7 +310,10 @@ def star_propagator(bright, pulse_phases, areas, detunings=0.0,
             else:
                 u = expm_hermitian_stack(_star_generators(coupling, 1.0, det), t)
             if dim == 2 and not sliced:
-                out[rows, cols] = _two_level_train(u, det * t, phases)
+                # the train needs row 0 only: release the stack before it runs
+                a0, b0 = u[..., 0, 0].copy(), u[..., 0, 1].copy()
+                del u
+                _two_level_train(a0, b0, det * t, phases, out[rows, cols])
             else:
                 out[rows, cols] = _pulse_train(u, phases)
     return out.reshape(grid + (dim, dim))
@@ -353,31 +356,31 @@ def _pulse_train(u0: np.ndarray, phases: tuple[float, ...]) -> np.ndarray:
     return u
 
 
-def _two_level_train(u0: np.ndarray, phase_area, phases: tuple[float, ...]) -> np.ndarray:
-    """:func:`_pulse_train` of a rectangular two-level pulse u0, by elementwise Cayley-Klein updates.
+def _two_level_train(a, b, phase_area, phases: tuple[float, ...], out: np.ndarray) -> None:
+    """:func:`_pulse_train` of a rectangular two-level pulse by elementwise Cayley-Klein updates.
 
-    The generator has trace Delta, so u0 = f S with S in SU(2) and the frame
-    f = e^{-i Delta T / 2}; `phase_area` is Delta T.  A product of k pulses
-    is then f^k times an SU(2) matrix, fixed by its row 0 (x, y) and the
-    frame g = f^{2k} = e^{-i k Delta T}: its row 1 is (-g conj(y), g conj(x)).
-    Each pulse with u0[0,0] = a and u0[0,1] e^{ip} = q maps row 0 to
-    (a x - q g conj(y), a y + q g conj(x)) and g to g e^{-i Delta T}.
+    `a` and `b` are u0[..., 0, 0] and u0[..., 0, 1] of the pulse at phase 0,
+    and `phase_area` is Delta T.  The generator has trace Delta, so
+    u0 = f S with S in SU(2) and the frame f = e^{-i Delta T / 2}.  A product
+    of k pulses is then f^k times an SU(2) matrix, fixed by its row 0 (x, y)
+    and the frame g = f^{2k} = e^{-i k Delta T}: its row 1 is
+    (-g conj(y), g conj(x)).  Each pulse, with q = b e^{ip}, maps row 0 to
+    (a x - q g conj(y), a y + q g conj(x)) and g to g e^{-i Delta T}.  The
+    product is written into `out`, of shape a.shape + (2, 2).
     """
     # Every product takes named operands and writes a new array.  numpy rounds
     # a complex product worked in place (or into a large temporary operand,
     # which it reuses) differently, so the bits would depend on the block size.
-    a = u0[..., 0, 0].copy()
-    b = u0[..., 0, 1].copy()
     step = np.exp(-1j * phase_area)
     x, y, g = a, b * np.exp(1j * phases[0]), step
     for p in phases[1:]:
-        q = b * np.exp(1j * p)
-        qg = q * g
+        qg = b * np.exp(1j * p)
+        qg = qg * g
         xc, yc = x.conj(), y.conj()
-        x, y = a * x - qg * yc, a * y + qg * xc
+        x = a * x - qg * yc
+        y = a * y + qg * xc
+        del qg, xc, yc
         g = g * step
     xc, yc = x.conj(), y.conj()
-    u = np.empty_like(u0)
-    u[..., 0, 0], u[..., 0, 1] = x, y
-    u[..., 1, 0], u[..., 1, 1] = -(g * yc), g * xc
-    return u
+    out[..., 0, 0], out[..., 0, 1] = x, y
+    out[..., 1, 0], out[..., 1, 1] = -(g * yc), g * xc
