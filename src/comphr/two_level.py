@@ -295,8 +295,8 @@ def star_propagator(bright, pulse_phases, areas, detunings=0.0,
     d_axes = (1,) * (len(grid) - d.ndim) + d.shape
     lead = next((k for k, size in enumerate(d_axes) if size != 1), len(grid))
     dets = np.broadcast_to(d.reshape(d_axes[lead:]), grid[lead:]).reshape(-1)
-    durations = np.broadcast_to(a / shape.unit_integral(), grid).reshape(math.prod(grid[:lead]),
-                                                                       dets.size)
+    durations = np.broadcast_to(a / shape.unit_integral(), grid)
+    durations = durations.reshape(math.prod(grid[:lead]), dets.size)
     out = np.empty(durations.shape + (dim, dim), dtype=complex)
     with SERIAL_BLAS:
         for rows, cols in grid_chunks(*durations.shape, count * dim * dim):
