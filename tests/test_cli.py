@@ -241,8 +241,8 @@ def test_scan_area_deterministic_bytes(tmp_path, capsys):
 #: `OPENBLAS_VERBOSE=2 python -c "import numpy.linalg"`).  Every value carries
 #: 17 significant digits, so a change in the last bit of any number, or in the
 #: formatting, changes the digest.  All three digests fail with
-#: OPENBLAS_CORETYPE=Haswell, Sandybridge or Prescott: another BLAS kernel
-#: rounds some eigenvalues differently, which is no fault of the program.
+#: OPENBLAS_CORETYPE=Haswell, Sandybridge or Prescott: other BLAS kernels
+#: round some results differently in the last bit.
 #: The two shortcut digests were taken after the two-level pulse train moved
 #: to Cayley-Klein form; test_shortcut_scans_match_the_reference_path ties
 #: them to the older path.

@@ -209,7 +209,9 @@ def test_cayley_klein_train_matches_the_matmul_train():
 
 
 def test_cayley_klein_train_is_the_same_for_any_block():
-    # a point's bits do not depend on the grid around it or on the block size
+    # A point's bits do not depend on the grid around it.  The grid is large
+    # enough (36 009 points) for numpy to reuse temporaries as outputs, which
+    # _two_level_train must not let change its rounding.
     phases = (0.3, 2.1, -1.0, 0.7)
     areas = np.linspace(0.0, 2 * PI, 9)[:, None]
     dets = np.linspace(-3.0, 3.0, 4001)
