@@ -127,18 +127,16 @@ def cmd_hr(args) -> int:
         raise ValidationError("config needs a 'family' descriptor")
     family = family_from_config(doc["family"])
     system, target = system_from_config(doc)
+    normalized = {**system_to_config(system, target.hr_phase), "family": family_to_config(family)}
     if args.dump_config:
-        normalized = system_to_config(system, target.hr_phase)
-        normalized["family"] = family_to_config(family)
         print(json.dumps(normalized, indent=2, sort_keys=True))
         return EXIT_OK
     area = parse_angle(args.area)
-    detuning = system.detuning if args.detuning is None else float(args.detuning)
+    detuning = system.detuning if args.detuning is None else args.detuning
     actual = composite_hr(system, family, target.hr_phase, area, detuning, args.substeps)
     wanted = householder_matrix(target)
     out_doc = {
-        "config": {**system_to_config(system, target.hr_phase),
-                   "family": family_to_config(family)},
+        "config": normalized,
         "area_over_pi": area / math.pi,
         "detuning_over_omega": detuning,
         "infidelity": infidelity(actual, wanted),

@@ -95,11 +95,6 @@ class PhaseList:
             return f"n{self.n}"
         return f"u{self.n}v{self.variant}"
 
-    def describe(self) -> str:
-        if self.family == BROADBAND:
-            return f"broadband n={self.n}"
-        return f"universal n={self.n} variant {self.variant}"
-
     def pi_string(self) -> str:
         """Exact rational rendering, e.g. '0, 2/5, 6/5, 2/5, 0'."""
         return ", ".join(_fraction_str(f) for f in self.fractions)
@@ -163,7 +158,7 @@ def gate_sequence(base: PhaseList, alpha: float) -> GateSequence:
 
 
 def sequence_propagator(seq: GateSequence, area: float, detuning: float = 0.0,
-                        shape: PulseShape | None = None,
+                        shape: PulseShape = rectangular(),
                         substeps: int = DEFAULT_SUBSTEPS) -> Propagator2:
     """Two-level propagator of a full gate sequence at per-pulse area `area`.
 
@@ -171,8 +166,6 @@ def sequence_propagator(seq: GateSequence, area: float, detuning: float = 0.0,
     `area` and `detuning` are the dimensionless scan parameters A and
     Delta/Omega.  area = 0 degenerates to the identity.
     """
-    if shape is None:
-        shape = rectangular()
     return Propagator2(star_propagator((1.0,), seq.pulse_phases, area, detuning, shape, substeps))
 
 

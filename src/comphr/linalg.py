@@ -94,13 +94,13 @@ def require_square(m, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def require_hermitian(h, tol: float = HERMITICITY_TOL) -> np.ndarray:
-    """Return h as a complex array, raising unless it is Hermitian within tol."""
+def require_hermitian(h) -> np.ndarray:
+    """Return h as a complex array, raising unless it is Hermitian within HERMITICITY_TOL."""
     a = require_square(h, "generator")
     if not np.all(np.isfinite(a)):
         raise ValidationError("generator contains NaN or Inf entries")
     defect = float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
-    if defect > tol:
+    if defect > HERMITICITY_TOL:
         raise ValidationError(f"generator is not Hermitian (max asymmetry {defect:.3e})")
     return a
 

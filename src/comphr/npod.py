@@ -40,6 +40,7 @@ from .two_level import (
     STACK_ELEMENTS,
     TABULATED,
     PulseShape,
+    _star_generators,
     gaussian,
     rectangular,
     star_propagator,
@@ -121,11 +122,10 @@ class HouseholderTarget:
 
 @dataclass(frozen=True, eq=False)
 class MSReduction:
-    """Bright/dark decomposition of the manifold: bright vector, rms peak, dark basis."""
+    """Morris-Shore reduction: bright vector and rms peak (the dark states are spectators)."""
 
     rms_peak: float
     bright: np.ndarray
-    dark_basis: tuple[np.ndarray, ...]
 
 
 def _require_stackable(n_states: int) -> None:
@@ -147,45 +147,15 @@ def householder_matrix(target: HouseholderTarget) -> np.ndarray:
 
 
 def ms_reduce(sys: NPodSystem) -> MSReduction:
-    """Bright vector, rms Rabi peak, and a deterministic orthonormal dark basis."""
-    bright = sys.bright
-    n = sys.n_states
-    # Seed the complement from the canonical basis with the largest-|v_k| pivot
-    # removed, so the dark basis is reproducible across runs.
-    pivot = int(np.argmax(np.abs(bright)))
-    basis = [bright] + [np.eye(n, dtype=complex)[j] for j in range(n) if j != pivot]
-    ortho = []
-    for vec in basis:
-        w = np.array(vec)
-        for _ in range(2):  # two Gram-Schmidt passes for round-off hygiene
-            for q in ortho:
-                w = w - q * (q.conj() @ w)
-        w = w / np.linalg.norm(w)
-        ortho.append(w)
-    dark = ortho[1:]
-    for w in dark:
-        w.setflags(write=False)
-    return MSReduction(rms_peak=sys.rms_peak, bright=bright, dark_basis=tuple(dark))
+    """Bright vector and rms Rabi peak of the system."""
+    return MSReduction(rms_peak=sys.rms_peak, bright=sys.bright)
 
 
 def npod_hamiltonian(sys: NPodSystem, pulse_phase: float = 0.0,
                      envelope: float = 1.0) -> np.ndarray:
     """Instantaneous (N+1)x(N+1) generator at a given envelope value and drive phase."""
-    n = sys.n_states
-    h = np.zeros((n + 1, n + 1), dtype=complex)
-    omega = (np.array(sys.couplings) * envelope
-             * np.exp(1j * (np.array(sys.coupling_phases) + pulse_phase)))
-    h[:n, n] = 0.5 * omega
-    h[n, :n] = 0.5 * omega.conj()
-    h[n, n] = sys.detuning
-    return h
-
-
-def _normalized(sys: NPodSystem) -> NPodSystem:
-    rms = sys.rms_peak
-    if abs(rms - 1.0) < 1e-15:
-        return sys
-    return replace(sys, couplings=tuple(c / rms for c in sys.couplings))
+    coupling = np.array(sys.couplings) * np.exp(1j * (np.array(sys.coupling_phases) + pulse_phase))
+    return _star_generators(coupling, envelope, sys.detuning)
 
 
 def pulse_propagator(sys: NPodSystem, area: float, pulse_phase: float = 0.0,
@@ -202,7 +172,7 @@ def pulse_propagator(sys: NPodSystem, area: float, pulse_phase: float = 0.0,
         return np.eye(sys.n_states + 1, dtype=complex)
     if sys.shape.kind != RECTANGULAR:
         return star_propagator(sys.bright, (pulse_phase,), area, sys.detuning, sys.shape, substeps)
-    return expm_hermitian(npod_hamiltonian(_normalized(sys), pulse_phase, 1.0), area)
+    return expm_hermitian(npod_hamiltonian(sys, pulse_phase, 1.0 / sys.rms_peak), area)
 
 
 def npod_propagator(sys: NPodSystem, seq: GateSequence, area: float,

@@ -108,10 +108,7 @@ class PulseShape:
             return np.ones_like(x)
         if self.kind == GAUSSIAN:
             return np.exp(-((2.0 * self.truncation * (x - 0.5)) ** 2))
-        times = np.array([t for t, _ in self.samples])
-        values = np.array([v for _, v in self.samples])
-        xs = (times - times[0]) / (times[-1] - times[0])
-        return np.interp(x, xs, values)
+        return np.interp(x, *self._unit_samples())
 
     def unit_integral(self) -> float:
         """Integral of the envelope over the unit interval."""
@@ -120,10 +117,13 @@ class PulseShape:
         if self.kind == GAUSSIAN:
             c = self.truncation
             return math.sqrt(math.pi) * math.erf(c) / (2.0 * c)
-        times = np.array([t for t, _ in self.samples])
-        values = np.array([v for _, v in self.samples])
-        xs = (times - times[0]) / (times[-1] - times[0])
+        xs, values = self._unit_samples()
         return float(np.trapezoid(values, xs))
+
+    def _unit_samples(self) -> tuple[np.ndarray, np.ndarray]:
+        """Tabulated (times, values) with the times rescaled onto [0, 1]."""
+        times, values = np.array(self.samples).T
+        return (times - times[0]) / (times[-1] - times[0]), values
 
 
 def rectangular() -> PulseShape:
@@ -149,7 +149,7 @@ class Propagator2:
         if a.shape != (2, 2):
             raise ValidationError(f"propagator must be 2x2, got {a.shape}")
         defect = unitarity_defect(a)
-        if defect > PROPAGATOR_TOL:
+        if not defect <= PROPAGATOR_TOL:
             raise ValidationError(f"propagator is not unitary (defect {defect:.3e})")
         a.setflags(write=False)
         object.__setattr__(self, "u", a)
@@ -272,6 +272,10 @@ def star_propagator(bright, pulse_phases, areas, detunings=0.0,
     train takes one batched matmul per pulse after the first.  The grid is
     evaluated in blocks whose stacks stay within STACK_ELEMENTS elements, on
     one BLAS thread (see linalg.SERIAL_BLAS).
+
+    `substeps` must lie in 1..STACK_ELEMENTS whatever the envelope, and the
+    longest duration times (max |Delta| + 1) must be finite; both are
+    checked before any work.
     """
     coupling = np.asarray(bright, dtype=complex).reshape(-1)
     norm = float(np.linalg.norm(coupling))
@@ -287,9 +291,16 @@ def star_propagator(bright, pulse_phases, areas, detunings=0.0,
         raise ValidationError("areas must be finite and >= 0")
     if not np.all(np.isfinite(d)):
         raise ValidationError("detunings must be finite")
+    # A unit-rms generator has eigenvalues |w| <= |Delta| + 1/2, so this
+    # product bounds every eigenphase t w and every frame phase Delta T.
+    # Python floats overflow to inf without a warning.
+    longest = float(np.max(a, initial=0.0)) / shape.unit_integral()
+    if not math.isfinite(longest * (float(np.max(np.abs(d), initial=0.0)) + 1.0)):
+        raise ValidationError("area x detuning is too large: the pulse phases overflow")
+    substeps = _slice_count(substeps)
     dim = coupling.size + 1
     sliced = shape.kind != RECTANGULAR
-    count = _slice_count(substeps) if sliced else 1
+    count = substeps if sliced else 1
     # rows x cols view of the grid: the detunings repeat over the leading
     # axes they broadcast along, so every row sees the same `dets`.
     d_axes = (1,) * (len(grid) - d.ndim) + d.shape
@@ -320,16 +331,17 @@ def star_propagator(bright, pulse_phases, areas, detunings=0.0,
 
 
 def _slice_count(substeps) -> int:
-    if not (math.isfinite(substeps) and substeps >= 1 and int(substeps) == substeps):
-        raise ValidationError("substeps must be a positive integer")
+    """`substeps` as an int, checked for every envelope: 1 to STACK_ELEMENTS slices."""
+    if not (1 <= substeps <= STACK_ELEMENTS and int(substeps) == substeps):
+        raise ValidationError(f"substeps must be an integer from 1 to {STACK_ELEMENTS}")
     return int(substeps)
 
 
 def _star_generators(coupling: np.ndarray, envelope, detunings) -> np.ndarray:
     """Generators [[0, f c/2], [f c^dagger/2, Delta]] over broadcast stacks of f and Delta.
 
-    Manifold states first, ancilla last, as in :func:`comphr.npod.npod_hamiltonian`;
-    the shape is broadcast(f, Delta) + (N+1, N+1).
+    Manifold states first, ancilla last; :func:`comphr.npod.npod_hamiltonian`
+    builds its generator here too.  The shape is broadcast(f, Delta) + (N+1, N+1).
     """
     half = 0.5 * np.multiply.outer(envelope, coupling)
     detunings = np.asarray(detunings, dtype=float)

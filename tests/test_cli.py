@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -405,6 +406,44 @@ def test_oversized_grid_is_rejected_at_once(tmp_path, capsys, argv):
     assert code == 2
     assert "at most 1048576 points" in err
     assert time.perf_counter() - start < 1.0
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("shape, substeps", [
+    ("rectangular", "-5"),
+    ("rectangular", "0"),
+    ({"kind": "gaussian"}, str(2 ** 20 + 1)),
+    ({"kind": "gaussian"}, "1" + "0" * 400),  # too large for a float
+], ids=["rectangular--5", "rectangular-0", "gaussian-2**20+1", "gaussian-10**400"])
+def test_out_of_range_substeps_are_rejected_at_once(tmp_path, capsys, shape, substeps):
+    # every envelope checks substeps; the largest count allowed, 2^20 Gaussian
+    # slices, already takes seconds
+    cfg, out = tmp_path / "sys.json", tmp_path / "out.json"
+    write_config(cfg, shape=shape)
+    start = time.perf_counter()
+    code, _, err = run(capsys, "hr", "--config", str(cfg), "--substeps", substeps,
+                       "--out", str(out))
+    assert code == 2
+    assert "substeps must be an integer from 1 to 1048576" in err
+    assert time.perf_counter() - start < 1.0
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["hr", "--detuning", "1e308"],
+    ["scan-2d", "--apoints", "2", "--dpoints", "2", "--dmin", "1e307", "--dmax", "1e308"],
+], ids=["hr", "scan-2d"])
+def test_overflowing_area_times_detuning_is_rejected(tmp_path, capsys, argv):
+    # unchecked, both overflow in numpy and write NaN with exit 0
+    out = tmp_path / "out"
+    if argv[0] == "hr":
+        write_config(tmp_path / "sys.json")
+        argv = argv + ["--config", str(tmp_path / "sys.json")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run(capsys, *argv, "--out", str(out))
+    assert code == 2
+    assert "overflow" in err
     assert not out.exists()
 
 

@@ -4,6 +4,8 @@ Grids stay within 6x6, substeps within 20 and systems within N = 4, so every
 example runs in milliseconds.
 """
 
+import contextlib
+import io
 import json
 
 from hypothesis import HealthCheck, given, settings
@@ -115,8 +117,18 @@ def test_any_argv_exits_0_2_or_3(tmp_path, data):
     assert main(argv) in (0, 2, 3)
 
 
+def reject_constant(name):
+    raise AssertionError(f"the result holds {name}")
+
+
 @SETTINGS
 @given(doc=CONFIGS, area=ANGLES, substeps=st.integers(1, 20))
 def test_any_hr_config_exits_0_2_or_3(tmp_path, doc, area, substeps):
     cfg = write_config(tmp_path / "sys.json", doc)
-    assert main(["hr", "--config", cfg, f"--area={area}", f"--substeps={substeps}"]) in (0, 2, 3)
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = main(["hr", "--config", cfg, f"--area={area}", f"--substeps={substeps}"])
+    assert code in (0, 2, 3)
+    if code == 0:  # a result is strict JSON: no NaN or Infinity
+        json.loads(stdout.getvalue(), parse_constant=reject_constant)
+

@@ -90,8 +90,6 @@ def test_phase_rendering():
     assert bb_phases(3).phases == pytest.approx((0.0, 2 * PI / 3, 0.0))
     assert bb_phases(5).label == "n5"
     assert universal_phases(5, 2).label == "u5v2"
-    assert bb_phases(5).describe() == "broadband n=5"
-    assert universal_phases(5, 2).describe() == "universal n=5 variant 2"
 
 
 def test_bb_palindrome_up_to_19():
@@ -222,6 +220,12 @@ def test_shaped_gate_on_resonance_is_unitary():
                 # on resonance only the area matters, not the envelope
                 rect = sequence_propagator(seq, area, 0.0).u
                 assert np.max(np.abs(g - rect)) <= 1e-6
+
+
+def test_overflowing_sequence_is_rejected():
+    # 2 pi x 1e308 overflows the pulse phases, which would give a NaN "unitary"
+    with pytest.raises(ValidationError, match="overflow"):
+        sequence_propagator(gate_sequence(bb_phases(3), PI), 2 * PI, 1e308)
 
 
 def test_zero_area_sequence_is_identity():

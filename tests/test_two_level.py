@@ -1,6 +1,7 @@
 """Two-level propagators: conventions, detuned dynamics, shaped pulses."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from comphr import (
     resonant_propagator,
     star_propagator,
     tabulated,
+    unitarity_defect,
 )
 
 from comphr.linalg import expm_hermitian_stack
@@ -63,14 +65,31 @@ BAD_INPUT = {
     "zero-bright-vector": {"bright": (0.0, 0.0)},
     "nan-bright": {"bright": (1.0, np.nan)},
     "infinite-bright": {"bright": (np.inf,)},
+    "overflowing-area-times-detuning": {"areas": 2 * PI, "detunings": 1e308},
+    "overflowing-duration": {"areas": 1e308, "detunings": 1.0},
+    "overflowing-shaped-duration": {"areas": 1e308, "shape": gaussian()},
+    "one-overflowing-detuning-in-a-grid": {"detunings": [0.0, -1e308]},
 }
 
 
 @pytest.mark.parametrize("bad", BAD_INPUT.values(), ids=BAD_INPUT.keys())
 def test_star_propagator_rejects_bad_input(bad):
     good = {"bright": (1.0,), "pulse_phases": (0.0,), "areas": PI, "detunings": 0.0}
-    with pytest.raises(ValidationError):
-        star_propagator(**{**good, **bad})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # rejected before numpy can overflow
+        with pytest.raises(ValidationError):
+            star_propagator(**{**good, **bad})
+
+
+@pytest.mark.parametrize("bright", [(1.0,), (0.6, 0.8j)], ids=["two-level", "three-level"])
+@pytest.mark.parametrize("area, detuning", [(1e300, 1e7), (2 * PI, 1e307), (1e307, 0.0)])
+def test_finite_area_times_detuning_gives_a_unitary_without_warnings(bright, area, detuning):
+    # just inside the overflow bound every phase is a finite (if imprecise) angle
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        u = star_propagator(bright, (0.0, 0.5, 1.0), area, detuning)
+    assert np.all(np.isfinite(u))
+    assert unitarity_defect(u) <= 1e-13
 
 
 def test_area_bookkeeping():
@@ -106,6 +125,12 @@ def test_resonant_pi_pulse_phase_convention_vs_rk4():
         p = resonant_propagator(PI, phase)
         assert np.max(np.abs(p.u - u_rk4)) <= 1e-10
         assert p.b == pytest.approx(-1j * np.exp(1j * phase), abs=1e-12)
+
+
+def test_propagator2_rejects_nan_entries():
+    # the defect is NaN, and NaN > tol is false
+    with pytest.raises(ValidationError, match="not unitary"):
+        two_level.Propagator2(np.full((2, 2), np.nan))
 
 
 def test_resonant_rejects_negative_area():
@@ -305,10 +330,12 @@ def test_shaped_tabulated_envelope():
 
 
 def test_shaped_validation():
-    # a shaped envelope takes `substeps` slices, a positive integer
-    for shape in (gaussian(), tabulated([(0.0, 0.0), (1.0, 1.0)])):
-        for bad in (0, -1, 2.5, np.nan, np.inf):
-            with pytest.raises(ValidationError):
+    # every envelope checks `substeps`, an integer from 1 to STACK_ELEMENTS;
+    # 10**400 is too large for a float
+    too_many = (two_level.STACK_ELEMENTS + 1, 10 ** 400)
+    for shape in (rectangular(), gaussian(), tabulated([(0.0, 0.0), (1.0, 1.0)])):
+        for bad in (0, -1, 2.5, np.nan, np.inf) + too_many:
+            with pytest.raises(ValidationError, match="substeps"):
                 pulse(PI, shape=shape, substeps=bad)
 
 
