@@ -265,6 +265,46 @@ def test_scan_csv_bytes_are_pinned(tmp_path, capsys, argv, digest):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+#: Overrides of the README config (the `write_config` default) for the pinned
+#: hr runs.
+HR_CONFIGS = {
+    "readme": {},
+    "gaussian": {"couplings": [1.0, 2.0, 2.0], "coupling_phases": [0.0, 0.25, -0.5],
+                 "shape": {"kind": "gaussian", "truncation": 2.5}, "detuning": 0.1,
+                 "hr_phase": 0.5, "family": {"family": "universal", "n": 5, "variant": 2}},
+    "tabulated": {"shape": {"kind": "tabulated",
+                            "samples": [[0.0, 0.0], [1.0, 1.0], [2.0, 0.5], [3.0, 0.0]]},
+                  "family": {"family": "bb", "n": 5}},
+}
+
+#: sha256 of what hr printed on those configs, taken like GOLDEN_CSV.  The
+#: --dump-config digests pin the normalized document; the others also pin the
+#: realized and target matrices to the last bit.
+GOLDEN_HR = [
+    ("readme", ["--area", "0.9pi"],
+     "7f679e4ad85063a519f8cea4bb2c20914a9d3afd3f40fb9533285e10806de53c"),
+    ("readme", ["--dump-config"],
+     "1b48c5d8569194e18ad6cce73cd86012a95b5ad8d2b5ab45c876000811746861"),
+    ("gaussian", ["--detuning", "0.3", "--substeps", "200"],
+     "57e4fe0c26385a3bed6cde0b0cfc27328664bf1e5b5dfcf76013dd18c8b412f6"),
+    ("gaussian", ["--dump-config"],
+     "0c419f8f1a114559ffd1dc4154f2660f7b6a6950d3322ff03f54a5d3ac897535"),
+    ("tabulated", ["--dump-config"],
+     "499cb8bf7b28d717a9adde85a8e70262782f82b01375bdd06b11ec0878edb525"),
+]
+
+
+@pytest.mark.parametrize("config, argv, digest", GOLDEN_HR,
+                         ids=["readme", "readme-dump", "gaussian", "gaussian-dump",
+                              "tabulated-dump"])
+def test_hr_output_bytes_are_pinned(tmp_path, capsys, config, argv, digest):
+    cfg = tmp_path / "sys.json"
+    write_config(cfg, **HR_CONFIGS[config])
+    code, out, err = run(capsys, "hr", "--config", str(cfg), *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def reference_shortcut(family, hr_phase, areas, detunings):
     """|u00 - e^{i phi}| by the first two-level shortcut path, the reference for its digests.
 
