@@ -10,8 +10,6 @@ from .composite import (
     PhaseList,
     bb_phases,
     composite_phase_gate,
-    family_from_config,
-    family_to_config,
     gate_sequence,
     sequence_propagator,
     universal_phases,
@@ -41,8 +39,6 @@ from .npod import (
     npod_propagator,
     pulse_propagator,
     random_system,
-    system_from_config,
-    system_to_config,
 )
 from .two_level import (
     Propagator2,
@@ -75,8 +71,6 @@ __all__ = [
     "composite_hr",
     "composite_phase_gate",
     "expm_hermitian",
-    "family_from_config",
-    "family_to_config",
     "gate_sequence",
     "gaussian",
     "householder_matrix",
@@ -93,8 +87,6 @@ __all__ = [
     "scan_area",
     "sequence_propagator",
     "star_propagator",
-    "system_from_config",
-    "system_to_config",
     "tabulated",
     "unitarity_defect",
     "universal_phases",

@@ -5,6 +5,10 @@ Angles on the command line accept ``pi`` literals (``pi``, ``pi/2``,
 ``0.75pi``, ``-pi/3``) or plain decimals in radians.  All numeric output
 carries 17 significant digits and identical invocations produce byte-identical
 files.
+
+This module owns the JSON config document of ``hr``: it alone reads and
+writes it.  The document holds the couplings, the shape, the detuning and the
+phase family; its angles (coupling phases and ``hr_phase``) are in units of pi.
 """
 
 from __future__ import annotations
@@ -15,15 +19,7 @@ import math
 import re
 import sys
 
-from .composite import (
-    BROADBAND,
-    UNIVERSAL,
-    PhaseList,
-    bb_phases,
-    family_from_config,
-    family_to_config,
-    universal_phases,
-)
+from .composite import BROADBAND, UNIVERSAL, PhaseList, bb_phases, universal_phases
 from .errors import ValidationError
 from .metrics import (
     AXIS_AREA,
@@ -35,13 +31,8 @@ from .metrics import (
     scan_2d,
     scan_area,
 )
-from .npod import (
-    composite_hr,
-    householder_matrix,
-    random_system,
-    system_from_config,
-    system_to_config,
-)
+from .npod import HouseholderTarget, NPodSystem, composite_hr, householder_matrix, random_system
+from .two_level import GAUSSIAN, RECTANGULAR, TABULATED, PulseShape, gaussian, tabulated
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -106,6 +97,102 @@ def _load_config(path: str) -> dict:
     return doc
 
 
+def _number(value, name: str) -> float:
+    """A finite JSON number as a float; strings, bools, NaN and infinities are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(f"{name} must be a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ValidationError(f"{name} must be finite, got {value!r}")
+    return number
+
+
+def _integer(value, name: str) -> int:
+    """An integral JSON number (3 or 3.0, not 3.7, "3" or true) as an int."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    number = _number(value, name)
+    if not number.is_integer():
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    return int(number)
+
+
+def _numbers(value, name: str) -> tuple[float, ...]:
+    if not isinstance(value, list):
+        raise ValidationError(f"{name} must be a list of numbers")
+    return tuple(_number(x, name) for x in value)
+
+
+def _parse_family(doc) -> PhaseList:
+    """{"family": "bb", "n": 3} or {"family": "universal", "n": 5, "variant": 2}."""
+    if not isinstance(doc, dict) or "family" not in doc or "n" not in doc:
+        raise ValidationError("family descriptor needs 'family' and 'n' keys")
+    n = _integer(doc["n"], "family order n")
+    if doc["family"] == BROADBAND:
+        return bb_phases(n)
+    if doc["family"] == UNIVERSAL:
+        return universal_phases(n, _integer(doc.get("variant", 1), "family variant"))
+    raise ValidationError(f"unknown phase family {doc['family']!r}")
+
+
+def _parse_shape(doc) -> PulseShape:
+    """"rectangular", {"kind": "gaussian", "truncation": c} or {"kind": "tabulated", ...}."""
+    if isinstance(doc, str):
+        doc = {"kind": doc}
+    elif not isinstance(doc, dict):
+        raise ValidationError("shape must be a string or an object with a 'kind'")
+    if doc.get("kind") == GAUSSIAN:
+        return gaussian(_number(doc.get("truncation", 3.0), "gaussian truncation"))
+    if doc.get("kind") == TABULATED:
+        samples = doc.get("samples")
+        if not isinstance(samples, list) or not all(
+                isinstance(s, list) and len(s) == 2 for s in samples):
+            raise ValidationError("tabulated shape needs a 'samples' list of [t, f] pairs")
+        return tabulated([[_number(x, "tabulated sample") for x in s] for s in samples])
+    return PulseShape(doc.get("kind"))  # rectangular, or rejected as an unknown kind
+
+
+def _parse_config(doc) -> tuple[NPodSystem, HouseholderTarget, PhaseList]:
+    """The system, its reflection target and the phase family of an hr config document."""
+    if "family" not in doc:
+        raise ValidationError("config needs a 'family' descriptor")
+    family = _parse_family(doc["family"])
+    if "couplings" not in doc:
+        raise ValidationError("configuration needs a 'couplings' list")
+    couplings = _numbers(doc["couplings"], "couplings")
+    phases = _numbers(doc.get("coupling_phases", [0.0] * len(couplings)), "coupling_phases")
+    shape = _parse_shape(doc.get("shape", RECTANGULAR))
+    detuning = _number(doc.get("detuning", 0.0), "detuning")
+    hr_phase = _number(doc.get("hr_phase", 1.0), "hr_phase") * math.pi
+    system = NPodSystem(couplings, tuple(b * math.pi for b in phases), shape, detuning)
+    return system, HouseholderTarget(system.bright, hr_phase), family
+
+
+def _config_doc(system: NPodSystem, hr_phase: float, family: PhaseList) -> dict:
+    """The normalized hr config document, which parses back to the same run."""
+    shape = system.shape
+    if shape.kind == GAUSSIAN:
+        shape_doc = {"kind": GAUSSIAN, "truncation": shape.truncation}
+    elif shape.kind == TABULATED:
+        shape_doc = {"kind": TABULATED, "samples": [list(s) for s in shape.samples]}
+    else:
+        shape_doc = RECTANGULAR
+    family_doc = {"family": family.family, "n": family.n}
+    if family.family == UNIVERSAL:
+        family_doc["variant"] = family.variant
+    return {
+        "couplings": list(system.couplings),
+        "coupling_phases": [b / math.pi for b in system.coupling_phases],
+        "shape": shape_doc,
+        "detuning": system.detuning,
+        "hr_phase": hr_phase / math.pi,
+        "family": family_doc,
+    }
+
+
 def _write_text(path, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
@@ -122,12 +209,8 @@ def cmd_phases(args) -> int:
 
 
 def cmd_hr(args) -> int:
-    doc = _load_config(args.config)
-    if "family" not in doc:
-        raise ValidationError("config needs a 'family' descriptor")
-    family = family_from_config(doc["family"])
-    system, target = system_from_config(doc)
-    normalized = {**system_to_config(system, target.hr_phase), "family": family_to_config(family)}
+    system, target, family = _parse_config(_load_config(args.config))
+    normalized = _config_doc(system, target.hr_phase, family)
     if args.dump_config:
         print(json.dumps(normalized, indent=2, sort_keys=True))
         return EXIT_OK

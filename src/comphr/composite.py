@@ -178,46 +178,3 @@ def composite_phase_gate(family: PhaseList, alpha: float, area: float,
     """
     return sequence_propagator(gate_sequence(family, alpha), area, detuning)
 
-
-def family_to_config(family: PhaseList) -> dict:
-    """JSON-ready descriptor of a shipped phase family."""
-    doc = {"family": family.family, "n": family.n}
-    if family.family == UNIVERSAL:
-        doc["variant"] = family.variant
-    return doc
-
-
-def config_number(value, name: str) -> float:
-    """A finite JSON number as a float; strings, bools, NaN and infinities are rejected."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(f"{name} must be a number, got {value!r}")
-    try:
-        number = float(value)
-    except OverflowError:
-        number = math.inf
-    if not math.isfinite(number):
-        raise ValidationError(f"{name} must be finite, got {value!r}")
-    return number
-
-
-def config_int(value, name: str) -> int:
-    """An integral JSON number (3 or 3.0, not 3.7, "3" or true) as an int."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    number = config_number(value, name)
-    if not number.is_integer():
-        raise ValidationError(f"{name} must be an integer, got {value!r}")
-    return int(number)
-
-
-def family_from_config(doc) -> PhaseList:
-    """Parse a family descriptor: {"family": "bb", "n": 3} or {..., "variant": 2}."""
-    if not isinstance(doc, dict) or "family" not in doc or "n" not in doc:
-        raise ValidationError("family descriptor needs 'family' and 'n' keys")
-    kind = doc["family"]
-    n = config_int(doc["n"], "family order n")
-    if kind == BROADBAND:
-        return bb_phases(n)
-    if kind == UNIVERSAL:
-        return universal_phases(n, config_int(doc.get("variant", 1), "family variant"))
-    raise ValidationError(f"unknown phase family {kind!r}")

@@ -30,21 +30,17 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .composite import GateSequence, PhaseList, config_number, gate_sequence
+from .composite import GateSequence, PhaseList, gate_sequence
 from .errors import ValidationError
 from .linalg import expm_hermitian, require_square
 from .two_level import (
     DEFAULT_SUBSTEPS,
-    GAUSSIAN,
     RECTANGULAR,
     STACK_ELEMENTS,
-    TABULATED,
     PulseShape,
     _star_generators,
-    gaussian,
     rectangular,
     star_propagator,
-    tabulated,
 )
 
 #: Tolerance on the norm of a vector claiming to be normalized.
@@ -218,68 +214,3 @@ def random_system(n_states: int, seed: int = 0, shape: PulseShape | None = None)
                       coupling_phases=tuple(np.angle(v)),
                       shape=shape if shape is not None else rectangular())
 
-
-# ---------------------------------------------------------------------------
-# JSON configuration documents (angles stored in units of pi)
-
-def shape_to_config(shape: PulseShape):
-    if shape.kind == RECTANGULAR:
-        return RECTANGULAR
-    if shape.kind == GAUSSIAN:
-        return {"kind": GAUSSIAN, "truncation": shape.truncation}
-    return {"kind": TABULATED, "samples": [list(s) for s in shape.samples]}
-
-
-def shape_from_config(doc) -> PulseShape:
-    if isinstance(doc, str):
-        kind = doc
-        doc = {}
-    elif isinstance(doc, dict):
-        kind = doc.get("kind")
-    else:
-        raise ValidationError("shape must be a string or an object with a 'kind'")
-    if kind == RECTANGULAR:
-        return rectangular()
-    if kind == GAUSSIAN:
-        return gaussian(config_number(doc.get("truncation", 3.0), "gaussian truncation"))
-    if kind == TABULATED:
-        samples = doc.get("samples")
-        if not isinstance(samples, list) or not all(
-                isinstance(s, list) and len(s) == 2 for s in samples):
-            raise ValidationError("tabulated shape needs a 'samples' list of [t, f] pairs")
-        return tabulated([[config_number(x, "tabulated sample") for x in s] for s in samples])
-    raise ValidationError(f"unknown pulse shape kind {kind!r}")
-
-
-def system_to_config(sys: NPodSystem, hr_phase: float) -> dict:
-    """JSON-ready document; coupling phases and hr_phase in units of pi."""
-    return {
-        "couplings": list(sys.couplings),
-        "coupling_phases": [b / math.pi for b in sys.coupling_phases],
-        "shape": shape_to_config(sys.shape),
-        "detuning": sys.detuning,
-        "hr_phase": hr_phase / math.pi,
-    }
-
-
-def system_from_config(doc: dict) -> tuple[NPodSystem, HouseholderTarget]:
-    """Parse a configuration document into the system and its derived reflection target."""
-    if not isinstance(doc, dict):
-        raise ValidationError("configuration document must be a JSON object")
-    if "couplings" not in doc:
-        raise ValidationError("configuration needs a 'couplings' list")
-    couplings = _config_numbers(doc["couplings"], "couplings")
-    phases = tuple(b * math.pi for b in _config_numbers(
-        doc.get("coupling_phases", [0.0] * len(couplings)), "coupling_phases"))
-    shape = shape_from_config(doc.get("shape", RECTANGULAR))
-    detuning = config_number(doc.get("detuning", 0.0), "detuning")
-    hr_phase = config_number(doc.get("hr_phase", 1.0), "hr_phase") * math.pi
-    sys = NPodSystem(couplings, phases, shape, detuning)
-    target = HouseholderTarget(sys.bright, hr_phase)
-    return sys, target
-
-
-def _config_numbers(value, name: str) -> tuple[float, ...]:
-    if not isinstance(value, list):
-        raise ValidationError(f"{name} must be a list of numbers")
-    return tuple(config_number(x, name) for x in value)

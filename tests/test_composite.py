@@ -7,12 +7,11 @@ import numpy as np
 import pytest
 
 from comphr import (
+    NPodSystem,
     ValidationError,
     bb_phases,
     composite_phase_gate,
     expm_hermitian,
-    family_from_config,
-    family_to_config,
     gate_sequence,
     gaussian,
     resonant_propagator,
@@ -22,6 +21,7 @@ from comphr import (
     unitarity_defect,
     universal_phases,
 )
+from comphr.cli import _config_doc, _parse_config
 from comphr.composite import MAX_ORDER
 
 from oracle import two_level_hamiltonian
@@ -234,12 +234,14 @@ def test_zero_area_sequence_is_identity():
 
 
 def test_family_config_round_trip():
+    # the hr config document, which comphr.cli reads and writes, carries the family
+    system = NPodSystem((1.0,), (0.0,))
     for fam in ALL_FAMILIES:
-        doc = family_to_config(fam)
-        again = family_from_config(doc)
+        doc = _config_doc(system, PI, fam)
+        again = _parse_config(doc)[2]
         assert again.fractions == fam.fractions
         assert again.label == fam.label
     with pytest.raises(ValidationError):
-        family_from_config({"family": "narrowband", "n": 3})
+        _parse_config({"couplings": [1.0], "family": {"family": "narrowband", "n": 3}})
     with pytest.raises(ValidationError):
-        family_from_config({"n": 3})
+        _parse_config({"couplings": [1.0], "family": {"n": 3}})

@@ -26,11 +26,10 @@ from comphr import (
     rectangular,
     sequence_propagator,
     star_propagator,
-    system_from_config,
-    system_to_config,
     unitarity_defect,
     universal_phases,
 )
+from comphr.cli import _config_doc, _parse_config
 from comphr.two_level import STACK_ELEMENTS
 
 PI = np.pi
@@ -324,12 +323,12 @@ def test_n1_composite_hr_block_is_gate_element():
     assert block[0, 0] == pytest.approx(gate.a, abs=1e-13)
 
 
-# --- configuration documents -----------------------------------------------------------
+# --- configuration documents (read and written by comphr.cli) ----------------------
 
 def test_config_round_trip():
     sys = NPodSystem((3.0, 4.0), (0.0, 0.5 * PI), shape=gaussian(2.5), detuning=0.25)
-    doc = system_to_config(sys, PI / 2)
-    back, target = system_from_config(doc)
+    doc = _config_doc(sys, PI / 2, bb_phases(3))
+    back, target, _ = _parse_config(doc)
     assert back.couplings == sys.couplings
     assert back.coupling_phases == pytest.approx(sys.coupling_phases)
     assert back.shape == sys.shape
@@ -339,16 +338,17 @@ def test_config_round_trip():
 
 
 def test_config_defaults_and_validation():
-    sys, target = system_from_config({"couplings": [1.0, 1.0]})
+    family = {"family": "bb", "n": 3}
+    sys, target, _ = _parse_config({"couplings": [1.0, 1.0], "family": family})
     assert sys.shape == rectangular()
     assert sys.detuning == 0.0
     assert target.hr_phase == pytest.approx(PI)
     with pytest.raises(ValidationError):
-        system_from_config({"coupling_phases": [0.0]})
+        _parse_config({"coupling_phases": [0.0], "family": family})
     with pytest.raises(ValidationError):
-        system_from_config({"couplings": [1.0], "shape": {"kind": "sech"}})
+        _parse_config({"couplings": [1.0], "shape": {"kind": "sech"}, "family": family})
     with pytest.raises(ValidationError):
-        system_from_config([1, 2, 3])
+        _parse_config([1, 2, 3])
 
 
 def test_random_system_is_seeded_and_normalized():
