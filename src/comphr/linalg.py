@@ -132,5 +132,7 @@ def expm_hermitian_stack(h: np.ndarray, t) -> np.ndarray:
 def unitarity_defect(u) -> float:
     """Frobenius norm of u^dagger u - I."""
     a = require_square(u, "operator")
+    if not np.all(np.isfinite(a)):
+        raise ValidationError("operator has NaN or Inf entries, so it is not unitary")
     eye = np.eye(a.shape[0])
     return float(np.linalg.norm(a.conj().T @ a - eye))

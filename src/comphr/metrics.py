@@ -49,6 +49,8 @@ class ScanAxis:
             raise ValidationError("an axis needs at least 2 points")
         if not (np.isfinite(self.start) and np.isfinite(self.stop) and self.start < self.stop):
             raise ValidationError("axis range must satisfy start < stop")
+        if not math.isfinite(float(self.stop) - float(self.start)):
+            raise ValidationError("axis range must span a finite interval")
 
     def values(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, int(self.points))
@@ -137,6 +139,18 @@ def _shortcut_infidelity(family: PhaseList, hr_phase: float, areas, detunings) -
     return np.abs(u[..., 0, 0] - np.exp(1j * hr_phase))
 
 
+def _areas(axis: ScanAxis) -> np.ndarray:
+    """The values of an A/pi axis as areas in radians.
+
+    Both ends times pi are checked in Python floats, which overflow to inf
+    without the warning numpy would print.
+    """
+    if not (math.isfinite(float(axis.start) * math.pi)
+            and math.isfinite(float(axis.stop) * math.pi)):
+        raise ValidationError("area axis overflows when converted to radians")
+    return axis.values() * math.pi
+
+
 def scan_area(families: Sequence[PhaseList], hr_phase: float, grid: ScanGrid) -> ScanResult:
     """Resonant infidelity versus rms pulse area for each family (exact propagators)."""
     if grid.axis2 is not None:
@@ -145,7 +159,7 @@ def scan_area(families: Sequence[PhaseList], hr_phase: float, grid: ScanGrid) ->
         raise ValidationError(f"scan_area needs a {AXIS_AREA} axis")
     if len(families) == 0:
         raise ValidationError("scan_area needs at least one family")
-    areas = grid.axis1.values() * math.pi
+    areas = _areas(grid.axis1)
     values = np.stack([_shortcut_infidelity(fam, hr_phase, areas, 0.0) for fam in families])
     return ScanResult(grid=grid, labels=tuple(f.label for f in families), values=values)
 
@@ -169,7 +183,7 @@ def scan_2d(family: PhaseList, hr_phase: float, grid: ScanGrid, *,
         raise ValidationError("scan_2d takes a two-dimensional grid")
     if grid.axis1.name != AXIS_AREA or grid.axis2.name != AXIS_DETUNING:
         raise ValidationError(f"scan_2d needs axes ({AXIS_AREA}, {AXIS_DETUNING})")
-    areas = grid.axis1.values() * math.pi
+    areas = _areas(grid.axis1)
     dets = grid.axis2.values()
     if system is None:
         values = _shortcut_infidelity(family, hr_phase, areas[:, None], dets[None, :])

@@ -79,8 +79,13 @@ class PulseShape:
     def __post_init__(self):
         if self.kind not in (RECTANGULAR, GAUSSIAN, TABULATED):
             raise ValidationError(f"unknown pulse shape kind {self.kind!r}")
-        if self.kind == GAUSSIAN and not (np.isfinite(self.truncation) and self.truncation > 0):
-            raise ValidationError("gaussian truncation must be a positive half-width count")
+        if self.kind == GAUSSIAN:
+            if not (np.isfinite(self.truncation) and self.truncation > 0):
+                raise ValidationError("gaussian truncation must be a positive half-width count")
+            # |2c(x - 1/2)| <= c, so the envelope's exponent is finite if c * c is
+            c = float(self.truncation)
+            if not math.isfinite(c * c):
+                raise ValidationError(f"gaussian truncation {c!r} overflows the envelope")
         if self.kind == TABULATED:
             if self.samples is None or len(self.samples) < 2:
                 raise ValidationError("tabulated shape needs at least 2 samples")

@@ -487,6 +487,35 @@ def test_overflowing_area_times_detuning_is_rejected(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["scan-2d", "--amax", "1e308", "--apoints", "2", "--dpoints", "2"], "overflows"),
+    (["scan-area", "--max", "1e308", "--points", "2"], "overflows"),
+    (["scan-2d", "--dmin=-1e308", "--dmax", "1e308", "--apoints", "2", "--dpoints", "3"],
+     "finite interval"),
+], ids=["scan-2d-area", "scan-area", "scan-2d-detuning-span"])
+def test_huge_scan_axis_is_rejected_without_warnings(tmp_path, capsys, argv, message):
+    # unchecked, numpy overflows in the area conversion or in linspace and warns
+    out = tmp_path / "scan.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run(capsys, *argv, "--out", str(out))
+    assert code == 2
+    assert message in err
+    assert not out.exists()
+
+
+def test_huge_gaussian_truncation_is_rejected_without_warnings(tmp_path, capsys):
+    # unchecked, the envelope overflows in its square and hr exits 0
+    cfg, out = tmp_path / "sys.json", tmp_path / "out.json"
+    write_config(cfg, shape={"kind": "gaussian", "truncation": 1e300})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run(capsys, "hr", "--config", str(cfg), "--out", str(out))
+    assert code == 2
+    assert "overflows the envelope" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["phases", "--n", "999999999"],
     ["scan-area", "--n", "1,1001"],

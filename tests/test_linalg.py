@@ -1,9 +1,11 @@
 """Kernel tests: Hermitian exponentials, Frobenius distance, unitarity diagnostics."""
 
+import warnings
+
 import numpy as np
 import pytest
 
-from comphr import ValidationError, expm_hermitian, unitarity_defect
+from comphr import Propagator2, ValidationError, expm_hermitian, unitarity_defect
 
 from oracle import rk4_propagator
 
@@ -68,6 +70,16 @@ def test_unitarity_defect_examples():
     assert unitarity_defect(np.diag([2.0, 1.0])) == pytest.approx(3.0)
     with pytest.raises(ValidationError):
         unitarity_defect(np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize("check", [unitarity_defect, Propagator2])
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+def test_non_finite_operator_is_rejected_before_any_product(check, value):
+    # unchecked, inf gives "invalid value encountered in matmul" and a NaN defect
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="NaN or Inf"):
+            check(np.full((2, 2), value))
 
 
 def _blas_threads():

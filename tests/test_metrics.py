@@ -143,6 +143,8 @@ def test_scan_area_validation():
         ScanAxis(AXIS_AREA, 2.0, 0.0, 11)
     with pytest.raises(ValidationError):
         ScanAxis("amplitude", 0.0, 2.0, 11)
+    with pytest.raises(ValidationError, match="finite interval"):
+        ScanAxis(AXIS_DETUNING, -1e308, 1e308, 3)  # stop - start overflows
 
 
 @pytest.mark.parametrize("points", [float("inf"), float("nan"), 2.5])

@@ -92,6 +92,15 @@ def test_finite_area_times_detuning_gives_a_unitary_without_warnings(bright, are
     assert unitarity_defect(u) <= 1e-13
 
 
+def test_gaussian_truncation_whose_square_overflows_is_rejected():
+    # |2c(x - 1/2)| <= c: the envelope squares numbers up to c
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="overflows the envelope"):
+            gaussian(1e160)
+        assert gaussian(1e154).envelope([0.0, 0.5, 1.0]).tolist() == [0.0, 1.0, 0.0]
+
+
 def test_area_bookkeeping():
     # A pulse of area A lasts A / unit_integral() at peak Rabi frequency 1.
     assert rectangular().unit_integral() == 1.0
@@ -128,7 +137,7 @@ def test_resonant_pi_pulse_phase_convention_vs_rk4():
 
 
 def test_propagator2_rejects_nan_entries():
-    # the defect is NaN, and NaN > tol is false
+    # unitarity_defect rejects the entries before it multiplies
     with pytest.raises(ValidationError, match="not unitary"):
         two_level.Propagator2(np.full((2, 2), np.nan))
 
