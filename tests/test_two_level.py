@@ -38,6 +38,11 @@ def pulse(area, detuning=0.0, phase=0.0, shape=rectangular(), substeps=1000):
 def test_shape_validation():
     with pytest.raises(ValidationError):
         gaussian(truncation=0.0)
+    with pytest.raises(ValidationError, match="overflows the envelope"):
+        gaussian(1e160)  # the envelope squares numbers up to the truncation
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert gaussian(1e154).envelope([0.0, 0.5, 1.0]).tolist() == [0.0, 1.0, 0.0]
     with pytest.raises(ValidationError):
         tabulated([(0.0, 0.0)])  # fewer than 2 samples
     with pytest.raises(ValidationError):
@@ -90,15 +95,6 @@ def test_finite_area_times_detuning_gives_a_unitary_without_warnings(bright, are
         u = star_propagator(bright, (0.0, 0.5, 1.0), area, detuning)
     assert np.all(np.isfinite(u))
     assert unitarity_defect(u) <= 1e-13
-
-
-def test_gaussian_truncation_whose_square_overflows_is_rejected():
-    # |2c(x - 1/2)| <= c: the envelope squares numbers up to c
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(ValidationError, match="overflows the envelope"):
-            gaussian(1e160)
-        assert gaussian(1e154).envelope([0.0, 0.5, 1.0]).tolist() == [0.0, 1.0, 0.0]
 
 
 def test_area_bookkeeping():
