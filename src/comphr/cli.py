@@ -32,7 +32,15 @@ from .metrics import (
     scan_area,
 )
 from .npod import HouseholderTarget, NPodSystem, composite_hr, householder_matrix, random_system
-from .two_level import GAUSSIAN, RECTANGULAR, TABULATED, PulseShape, gaussian, tabulated
+from .two_level import (
+    DEFAULT_SUBSTEPS,
+    GAUSSIAN,
+    RECTANGULAR,
+    TABULATED,
+    PulseShape,
+    gaussian,
+    tabulated,
+)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -46,8 +54,6 @@ _ANGLE_RE = re.compile(
 
 def parse_angle(text) -> float:
     """Angle in radians from 'pi', 'pi/2', '1.5pi', '-pi/3' or a plain decimal."""
-    if isinstance(text, (int, float)):
-        return float(text)
     s = str(text).strip()
     m = _ANGLE_RE.match(s)
     if m:
@@ -269,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--detuning", type=float, default=None,
                    help="detuning in units of the rms Rabi frequency (default: config value)")
     p.add_argument("--out", default=None, help="output JSON path (default: stdout)")
-    p.add_argument("--substeps", type=int, default=1000,
+    p.add_argument("--substeps", type=int, default=DEFAULT_SUBSTEPS,
                    help="slices per pulse for non-rectangular envelopes")
     p.add_argument("--dump-config", action="store_true",
                    help="echo the normalized config document and exit")

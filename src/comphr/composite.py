@@ -27,8 +27,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import ValidationError
 from .two_level import (
     DEFAULT_SUBSTEPS,
@@ -57,31 +55,29 @@ _UNIVERSAL_FRACTIONS = {
 }
 
 
-def _fraction_str(f: Fraction) -> str:
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
-
-
 @dataclass(frozen=True)
 class PhaseList:
     """Ordered composite-pulse phases, stored as exact multiples of pi in [0, 2)."""
 
     family: str
-    n: int
     fractions: tuple[Fraction, ...]
     variant: int | None = None
 
     def __post_init__(self):
-        if len(self.fractions) != self.n:
-            raise ValidationError("phase list length must equal n")
+        if not self.fractions:
+            raise ValidationError("a phase list needs at least one phase")
         if self.fractions[0] != 0:
             raise ValidationError("phase lists are gauge-fixed to start at 0")
-        for k in range(self.n):
-            if not 0 <= self.fractions[k] < 2:
+        for f, mirror in zip(self.fractions, reversed(self.fractions)):
+            if not 0 <= f < 2:
                 raise ValidationError("phases must be reduced to [0, 2) in units of pi")
-            if self.fractions[k] != self.fractions[self.n - 1 - k]:
+            if f != mirror:
                 raise ValidationError("shipped phase lists are palindromic")
+
+    @property
+    def n(self) -> int:
+        """Number of pulses in one composite."""
+        return len(self.fractions)
 
     @property
     def phases(self) -> tuple[float, ...]:
@@ -97,7 +93,7 @@ class PhaseList:
 
     def pi_string(self) -> str:
         """Exact rational rendering, e.g. '0, 2/5, 6/5, 2/5, 0'."""
-        return ", ".join(_fraction_str(f) for f in self.fractions)
+        return ", ".join(map(str, self.fractions))
 
 
 def bb_phases(n: int) -> PhaseList:
@@ -112,7 +108,7 @@ def bb_phases(n: int) -> PhaseList:
         raise ValidationError(f"n must be at most {MAX_ORDER}, got {n}")
     n = int(n)
     fractions = tuple(Fraction(k * (k - 1), n) % 2 for k in range(1, n + 1))
-    return PhaseList(BROADBAND, n, fractions)
+    return PhaseList(BROADBAND, fractions)
 
 
 def universal_phases(n: int, variant: int = 1) -> PhaseList:
@@ -123,38 +119,30 @@ def universal_phases(n: int, variant: int = 1) -> PhaseList:
         raise ValidationError(f"no universal list for n={n}, variant={variant}; "
                               f"supported (n, variant): {supported}")
     fractions = tuple(Fraction(s) for s in _UNIVERSAL_FRACTIONS[key])
-    return PhaseList(UNIVERSAL, n, fractions, variant=variant)
+    return PhaseList(UNIVERSAL, fractions, variant=variant)
 
 
 @dataclass(frozen=True)
 class GateSequence:
-    """The 2n pulse phases of a composite phase gate: phi_1..phi_n then xi_1..xi_n."""
+    """Gate of phase `alpha` on `base`: phases phi_1..phi_n, then xi_k = phi_k + pi + alpha/2."""
 
     base: PhaseList
     alpha: float
-    pulse_phases: tuple[float, ...]
 
     def __post_init__(self):
-        n = self.base.n
-        if len(self.pulse_phases) != 2 * n:
-            raise ValidationError("a gate sequence holds 2n pulse phases")
-        shift = math.pi + 0.5 * self.alpha
-        for k in range(n):
-            delta = self.pulse_phases[n + k] - self.pulse_phases[k] - shift
-            if abs(math.remainder(delta, 2.0 * math.pi)) > 1e-12:
-                raise ValidationError("second-composite phases must be offset by pi + alpha/2")
+        if not math.isfinite(self.alpha):
+            raise ValidationError("alpha must be finite")
+
+    @property
+    def pulse_phases(self) -> tuple[float, ...]:
+        """The 2n pulse phases in radians, in execution order: the phi block, then the xi block."""
+        phi = self.base.phases
+        return phi + tuple(p + math.pi + 0.5 * self.alpha for p in phi)
 
 
 def gate_sequence(base: PhaseList, alpha: float) -> GateSequence:
-    """Phases of the two-composite gate of phase alpha: xi_k = phi_k + pi + alpha/2.
-
-    Execution order is the phi block first, then the xi block.
-    """
-    if not np.isfinite(alpha):
-        raise ValidationError("alpha must be finite")
-    phi = base.phases
-    xi = tuple(p + math.pi + 0.5 * alpha for p in phi)
-    return GateSequence(base, float(alpha), phi + xi)
+    """The two-composite gate of phase alpha on `base`; alpha must be finite."""
+    return GateSequence(base, float(alpha))
 
 
 def sequence_propagator(seq: GateSequence, area: float, detuning: float = 0.0,

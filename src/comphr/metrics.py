@@ -45,8 +45,10 @@ class ScanAxis:
     def __post_init__(self):
         if self.name not in _AXIS_NAMES:
             raise ValidationError(f"axis name must be one of {_AXIS_NAMES}, got {self.name!r}")
-        if not (math.isfinite(self.points) and self.points >= 2 and int(self.points) == self.points):
-            raise ValidationError("an axis needs at least 2 points")
+        # bounds before int(): they reject nan and inf, and an int too large for a float
+        if not (2 <= self.points <= STACK_ELEMENTS and int(self.points) == self.points):
+            raise ValidationError(f"an axis needs a whole number of points, at least 2 "
+                                  f"and at most {STACK_ELEMENTS} points")
         if not (np.isfinite(self.start) and np.isfinite(self.stop) and self.start < self.stop):
             raise ValidationError("axis range must satisfy start < stop")
         if not math.isfinite(float(self.stop) - float(self.start)):

@@ -111,10 +111,6 @@ class HouseholderTarget:
         v.setflags(write=False)
         object.__setattr__(self, "v", v)
 
-    @property
-    def dim(self) -> int:
-        return self.v.size
-
 
 @dataclass(frozen=True, eq=False)
 class MSReduction:
@@ -200,7 +196,7 @@ def composite_hr(sys: NPodSystem, family: PhaseList, hr_phase: float, area: floa
     return manifold_block(npod_propagator(sys, seq, area, substeps))
 
 
-def random_system(n_states: int, seed: int = 0, shape: PulseShape | None = None) -> NPodSystem:
+def random_system(n_states: int, seed: int = 0, shape: PulseShape = rectangular()) -> NPodSystem:
     """N-pod with a random reflection vector: complex-normal entries, then normalization."""
     if int(n_states) != n_states or n_states < 1:
         raise ValidationError("n_states must be a positive integer")
@@ -212,5 +208,5 @@ def random_system(n_states: int, seed: int = 0, shape: PulseShape | None = None)
     v = v / np.linalg.norm(v)
     return NPodSystem(couplings=tuple(np.abs(v)),
                       coupling_phases=tuple(np.angle(v)),
-                      shape=shape if shape is not None else rectangular())
+                      shape=shape)
 

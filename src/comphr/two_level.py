@@ -145,7 +145,7 @@ def tabulated(samples) -> PulseShape:
 
 @dataclass(frozen=True, eq=False)
 class Propagator2:
-    """2x2 unitary propagator with Cayley-Klein accessors a = u[0,0], b = u[0,1]."""
+    """A checked 2x2 unitary `u`, read-only; its row 0 holds the Cayley-Klein pair (a, b)."""
 
     u: np.ndarray
 
@@ -158,14 +158,6 @@ class Propagator2:
             raise ValidationError(f"propagator is not unitary (defect {defect:.3e})")
         a.setflags(write=False)
         object.__setattr__(self, "u", a)
-
-    @property
-    def a(self) -> complex:
-        return complex(self.u[0, 0])
-
-    @property
-    def b(self) -> complex:
-        return complex(self.u[0, 1])
 
 
 def resonant_propagator(area: float, phase: float = 0.0) -> Propagator2:

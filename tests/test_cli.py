@@ -120,7 +120,7 @@ def test_hr_single_state_system_matches_gate(tmp_path, capsys):
     doc = json.loads(out)
     gate = composite_phase_gate(bb_phases(1), 2 * PI, 0.8 * PI)
     re, im = doc["actual"][0][0]
-    assert complex(re, im) == pytest.approx(gate.a, abs=1e-12)
+    assert complex(re, im) == pytest.approx(gate.u[0, 0], abs=1e-12)
 
 
 def test_hr_dump_config_round_trip(tmp_path, capsys):
@@ -438,6 +438,8 @@ def test_scan_2d_has_no_substeps_flag(tmp_path, capsys):
     ["scan-2d", "--apoints", "100000", "--dpoints", "100000"],
     ["scan-2d", "--full", "--N", "3", "--apoints", "1024", "--dpoints", "1025"],
     ["scan-area", "--points", str(2 ** 20 + 1)],
+    ["scan-area", "--points", "1" + "0" * 400],  # too large for a float
+    ["scan-2d", "--apoints", "1" + "0" * 400],
 ])
 def test_oversized_grid_is_rejected_at_once(tmp_path, capsys, argv):
     out = tmp_path / "scan.csv"

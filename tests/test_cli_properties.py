@@ -29,11 +29,14 @@ def ints(valid, edges):
     return mostly(st.sampled_from(valid), st.one_of(st.sampled_from(edges), JUNK)).map(str)
 
 
+#: An integer flag value too large for a float.
+HUGE = "1" + "0" * 400
+
 ANGLES = mostly(st.one_of(st.sampled_from(["pi", "pi/2", "0.75pi", "-pi/3", "2pi", "pi/0"]),
                           st.floats(-10.0, 10.0).map(repr)))
 FLOATS = mostly(st.floats(-3.0, 3.0).map(repr))
-ORDERS = ints([1, 3, 5, 7, 9], [-3, 0, 4, 1001, 999999999])
-VARIANTS = ints([1, 2], [0, 3])
+ORDERS = ints([1, 3, 5, 7, 9], [-3, 0, 4, 1001, 999999999, HUGE])
+VARIANTS = ints([1, 2], [0, 3, HUGE])
 FAMILIES = mostly(st.sampled_from(["bb", "universal"]), st.just("narrowband"))
 
 #: Optional flags of each command with their values.  Grid sizes and substeps
@@ -45,11 +48,12 @@ FLAGS = {
                   "--variant": VARIANTS, "--phi": ANGLES, "--min": FLOATS, "--max": FLOATS},
     "scan-2d": {"--family": FAMILIES, "--n": ORDERS, "--variant": VARIANTS,
                 "--phi": ANGLES, "--amin": FLOATS, "--amax": FLOATS,
-                "--dmin": FLOATS, "--dmax": FLOATS, "--N": ints([1, 2, 3, 4], [-1, 0, 100000]),
+                "--dmin": FLOATS, "--dmax": FLOATS,
+                "--N": ints([1, 2, 3, 4], [-1, 0, 100000, HUGE]),
                 "--seed": ints([0, 7, 2 ** 70], [-2, -1])},
 }
-POINTS = ints([2, 3, 6], [0, 1])
-SUBSTEPS = ints([1, 7, 20], [0, -1])
+POINTS = ints([2, 3, 6], [0, 1, HUGE])
+SUBSTEPS = ints([1, 7, 20], [0, -1, HUGE])
 SWITCHES = {"hr": "--dump-config", "scan-2d": "--full"}
 
 JSON_JUNK = st.one_of(st.floats(), st.booleans(), st.none(), st.text(max_size=6),

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from comphr import (
+    GateSequence,
     NPodSystem,
+    PhaseList,
     ValidationError,
     bb_phases,
     composite_phase_gate,
@@ -124,6 +126,24 @@ def test_gate_sequence_offset_invariant():
         for k in range(n):
             delta = seq.pulse_phases[n + k] - seq.pulse_phases[k]
             assert mod_2pi_distance(delta - PI - alpha / 2) <= 1e-12
+
+
+@pytest.mark.parametrize("alpha", [0.0, PI, 2 * PI, -1.3])
+def test_gate_sequence_phases_keep_their_bits(alpha):
+    for fam in ALL_FAMILIES:
+        phi = tuple(float(f) * math.pi for f in fam.fractions)
+        expected = phi + tuple(p + math.pi + 0.5 * alpha for p in phi)
+        assert gate_sequence(fam, alpha).pulse_phases == expected
+
+
+def test_empty_phase_list_and_non_finite_alpha_are_rejected():
+    with pytest.raises(ValidationError, match="at least one phase"):
+        PhaseList("bb", ())
+    for alpha in (float("nan"), float("inf")):
+        with pytest.raises(ValidationError, match="alpha must be finite"):
+            GateSequence(bb_phases(3), alpha)
+        with pytest.raises(ValidationError, match="alpha must be finite"):
+            gate_sequence(bb_phases(3), alpha)
 
 
 # --- composition ---------------------------------------------------------------

@@ -147,8 +147,10 @@ def test_scan_area_validation():
         ScanAxis(AXIS_DETUNING, -1e308, 1e308, 3)  # stop - start overflows
 
 
-@pytest.mark.parametrize("points", [float("inf"), float("nan"), 2.5])
+@pytest.mark.parametrize("points", [float("inf"), float("nan"), 2.5, 10 ** 400],
+                         ids=["inf", "nan", "2.5", "10**400"])
 def test_scan_axis_rejects_a_point_count_that_is_no_integer(points):
+    # 10**400 is an integer, but too large for a float
     with pytest.raises(ValidationError):
         ScanAxis(AXIS_AREA, 0.0, 2.0, points)
 

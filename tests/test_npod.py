@@ -320,7 +320,7 @@ def test_n1_composite_hr_block_is_gate_element():
     block = composite_hr(sys, bb_phases(1), PI, 0.8 * PI, 0.0)
     gate = composite_phase_gate(bb_phases(1), 2 * PI, 0.8 * PI)
     assert block.shape == (1, 1)
-    assert block[0, 0] == pytest.approx(gate.a, abs=1e-13)
+    assert block[0, 0] == pytest.approx(gate.u[0, 0], abs=1e-13)
 
 
 # --- configuration documents (read and written by comphr.cli) ----------------------

@@ -119,8 +119,8 @@ def test_resonant_zero_area_is_identity():
 
 def test_resonant_half_pi():
     p = resonant_propagator(PI / 2, 0.0)
-    assert p.a == pytest.approx(np.sqrt(2) / 2, abs=1e-15)
-    assert p.b == pytest.approx(-1j * np.sqrt(2) / 2, abs=1e-15)
+    assert p.u[0, 0] == pytest.approx(np.sqrt(2) / 2, abs=1e-15)
+    assert p.u[0, 1] == pytest.approx(-1j * np.sqrt(2) / 2, abs=1e-15)
 
 
 def test_resonant_pi_pulse_phase_convention_vs_rk4():
@@ -129,7 +129,7 @@ def test_resonant_pi_pulse_phase_convention_vs_rk4():
         u_rk4 = rk4_propagator(two_level_hamiltonian(1.0, 0.0, phase), 0.0, PI, 4000)
         p = resonant_propagator(PI, phase)
         assert np.max(np.abs(p.u - u_rk4)) <= 1e-10
-        assert p.b == pytest.approx(-1j * np.exp(1j * phase), abs=1e-12)
+        assert p.u[0, 1] == pytest.approx(-1j * np.exp(1j * phase), abs=1e-12)
 
 
 def test_propagator2_rejects_nan_entries():
