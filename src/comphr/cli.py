@@ -20,7 +20,7 @@ import re
 import sys
 
 from .composite import BROADBAND, UNIVERSAL, PhaseList, bb_phases, universal_phases
-from .errors import ValidationError
+from .errors import ValidationError, echo
 from .metrics import (
     AXIS_AREA,
     AXIS_DETUNING,
@@ -67,7 +67,7 @@ def parse_angle(text) -> float:
         return float(s)
     except ValueError:
         raise ValidationError(
-            f"cannot parse angle {text!r}; use e.g. 'pi', 'pi/2', '0.75pi' or radians"
+            f"cannot parse angle {echo(repr(text))}; use e.g. 'pi', 'pi/2', '0.75pi' or radians"
         ) from None
 
 
@@ -80,7 +80,8 @@ def _parse_n_list(text: str) -> list[int]:
     try:
         return [int(part) for part in str(text).split(",") if part.strip() != ""]
     except ValueError:
-        raise ValidationError(f"cannot parse order list {text!r}; use e.g. '1,3,5,9'") from None
+        raise ValidationError(f"cannot parse order list {echo(repr(text))}; "
+                              f"use e.g. '1,3,5,9'") from None
 
 
 def _families(kind: str, orders: list[int], variant: int) -> list[PhaseList]:
@@ -106,13 +107,13 @@ def _load_config(path: str) -> dict:
 def _number(value, name: str) -> float:
     """A finite JSON number as a float; strings, bools, NaN and infinities are rejected."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(f"{name} must be a number, got {value!r}")
+        raise ValidationError(f"{name} must be a number, got {echo(repr(value))}")
     try:
         number = float(value)
     except OverflowError:
         number = math.inf
     if not math.isfinite(number):
-        raise ValidationError(f"{name} must be finite, got {value!r}")
+        raise ValidationError(f"{name} must be finite, got {echo(repr(value))}")
     return number
 
 
@@ -122,7 +123,7 @@ def _integer(value, name: str) -> int:
         return value
     number = _number(value, name)
     if not number.is_integer():
-        raise ValidationError(f"{name} must be an integer, got {value!r}")
+        raise ValidationError(f"{name} must be an integer, got {echo(repr(value))}")
     return int(number)
 
 
@@ -141,7 +142,7 @@ def _parse_family(doc) -> PhaseList:
         return bb_phases(n)
     if doc["family"] == UNIVERSAL:
         return universal_phases(n, _integer(doc.get("variant", 1), "family variant"))
-    raise ValidationError(f"unknown phase family {doc['family']!r}")
+    raise ValidationError(f"unknown phase family {echo(repr(doc['family']))}")
 
 
 def _parse_shape(doc) -> PulseShape:
@@ -210,7 +211,7 @@ def _write_text(path, text: str) -> None:
 def cmd_phases(args) -> int:
     family = _families(args.family, [args.n], args.variant)[0]
     print(f"{family.pi_string()} (×π)")
-    print(", ".join(map(_NUMBER.format, family.phases)) + " (rad)")
+    print(", ".join(_NUMBER % p for p in family.phases) + " (rad)")
     return EXIT_OK
 
 

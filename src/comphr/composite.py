@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ValidationError
+from .errors import ValidationError, echo
 from .two_level import (
     DEFAULT_SUBSTEPS,
     Propagator2,
@@ -103,9 +103,9 @@ def bb_phases(n: int) -> PhaseList:
     pulse (phase 0).
     """
     if int(n) != n or n < 1 or n % 2 == 0:
-        raise ValidationError(f"n must be odd and positive, got {n}")
+        raise ValidationError(f"n must be odd and positive, got {echo(str(n))}")
     if n > MAX_ORDER:
-        raise ValidationError(f"n must be at most {MAX_ORDER}, got {n}")
+        raise ValidationError(f"n must be at most {MAX_ORDER}, got {echo(str(n))}")
     n = int(n)
     fractions = tuple(Fraction(k * (k - 1), n) % 2 for k in range(1, n + 1))
     return PhaseList(BROADBAND, fractions)
@@ -116,8 +116,8 @@ def universal_phases(n: int, variant: int = 1) -> PhaseList:
     key = (n, variant)
     if key not in _UNIVERSAL_FRACTIONS:
         supported = ", ".join(f"({a},{b})" for a, b in sorted(_UNIVERSAL_FRACTIONS))
-        raise ValidationError(f"no universal list for n={n}, variant={variant}; "
-                              f"supported (n, variant): {supported}")
+        raise ValidationError(f"no universal list for n={echo(str(n))}, "
+                              f"variant={echo(str(variant))}; supported (n, variant): {supported}")
     fractions = tuple(Fraction(s) for s in _UNIVERSAL_FRACTIONS[key])
     return PhaseList(UNIVERSAL, fractions, variant=variant)
 

@@ -10,6 +10,7 @@ argument.
 from __future__ import annotations
 
 import ctypes
+import math
 import threading
 
 import numpy as np
@@ -122,11 +123,29 @@ def expm_hermitian(h, t: float) -> np.ndarray:
 def expm_hermitian_stack(h: np.ndarray, t) -> np.ndarray:
     """Batched exp(-i*h*t) over the leading axes of h (and of t, broadcast).
 
+    The result has shape broadcast(h.shape[:-2], t.shape) + h.shape[-2:].
+    Each matrix of h is decomposed once, as v diag(w) v^dagger, and every
+    time that shares its decomposition is rebuilt in the same product: the
+    leading axes of t that h lacks (the area rows of a map) are moved next
+    to the matrix rows, so each decomposition takes one (rows*n x n) @
+    (n x n) matmul, v diag(e^{-iwt}) stacked over the rows times v^dagger,
+    not one BLAS call per n x n matrix.  Without such axes the row group
+    has one member.
+
     No validation: callers construct Hermitian stacks.
     """
     w, v = np.linalg.eigh(h)
-    phase = np.exp(-1j * np.asarray(t, dtype=float)[..., None] * w)
-    return (v * phase[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    n = h.shape[-1]
+    t = np.asarray(t, dtype=float)
+    extra = max(t.ndim - (h.ndim - 2), 0)
+    rows, count = t.shape[:extra], math.prod(t.shape[:extra])
+    # the times of each decomposition's row group on the last axis
+    t = np.moveaxis(t.reshape((count,) + t.shape[extra:]), 0, -1)
+    phase = np.exp(-1j * t[..., None] * w[..., None, :])
+    scaled = v[..., None, :, :] * phase[..., None, :]
+    u = scaled.reshape(scaled.shape[:-3] + (count * n, n)) @ v.conj().swapaxes(-1, -2)
+    u = np.moveaxis(u.reshape(u.shape[:-2] + (count, n, n)), -3, 0)
+    return u.reshape(rows + u.shape[1:])
 
 
 def unitarity_defect(u) -> float:

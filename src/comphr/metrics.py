@@ -88,14 +88,11 @@ class ScanResult:
             return
         xs = self.grid.axis1.values()
         if self.grid.axis2 is None:
-            header = ",".join(["A_over_pi"] + [f"F_{label}" for label in self.labels])
-            blocks = [np.column_stack([xs, self.values.T])]
+            f.write(",".join(["A_over_pi"] + [f"F_{label}" for label in self.labels]) + "\n")
+            _write_rows(f, np.column_stack([xs, self.values.T]))
         else:
-            header = "A_over_pi,Delta_over_Omega,F"
-            ys = self.grid.axis2.values()
-            blocks = (np.column_stack([np.full(ys.size, x), ys, row])
-                      for x, row in zip(xs, self.values))
-        _write_rows(f, header, blocks)
+            f.write("A_over_pi,Delta_over_Omega,F\n")
+            _write_map(f, xs, self.grid.axis2.values(), self.values)
 
     def csv_text(self) -> str:
         buf = io.StringIO()
@@ -104,19 +101,41 @@ class ScanResult:
 
 
 #: Every number in an output file: 17 significant digits round-trip a float64.
-_NUMBER = "{:.17g}"
+_NUMBER = "%.17g"
 #: Rows formatted per write, which bounds the text held in memory for any grid.
 _CSV_ROWS = 4096
+#: A map line before its detuning is filled in, which leaves "%s,<detuning>,%.17g\n".
+_MAP_LINE = "%%s," + _NUMBER + ",%" + _NUMBER + "\n"
 
 
-def _write_rows(f, header: str, blocks) -> None:
-    """Write the header line, then every row of each 2-D float block as CSV."""
-    f.write(header + "\n")
-    for block in blocks:
-        row = ",".join([_NUMBER] * block.shape[1]) + "\n"
-        for first in range(0, len(block), _CSV_ROWS):
-            part = block[first:first + _CSV_ROWS]
-            f.write((row * len(part)).format(*part.ravel().tolist()))
+def _write_rows(f, block: np.ndarray) -> None:
+    """Write every row of a 2-D float block as a CSV line."""
+    row = ",".join([_NUMBER] * block.shape[1]) + "\n"
+    for first in range(0, len(block), _CSV_ROWS):
+        part = block[first:first + _CSV_ROWS]
+        f.write((row * len(part)) % tuple(part.ravel().tolist()))
+
+
+def _write_map(f, xs: np.ndarray, ys: np.ndarray, values: np.ndarray) -> None:
+    """Write the line (xs[i], ys[j], values[i, j]) of every grid point, i major.
+
+    Each axis value is formatted once.  The detunings are cut into chunks of
+    at most _CSV_ROWS, and each chunk gets one template that already holds
+    the text of its detunings; an area row fills in its area text and the F
+    of each point.  The templates serve every area row, so together they
+    hold the text of each detuning once.
+    """
+    templates = []
+    for first in range(0, ys.size, _CSV_ROWS):
+        part = ys[first:first + _CSV_ROWS].tolist()
+        templates.append((slice(first, first + len(part)), (_MAP_LINE * len(part)) % tuple(part)))
+    for x, row in zip(xs, values):
+        area = _NUMBER % x
+        for cols, template in templates:
+            infidelities = row[cols].tolist()
+            fields = [area] * (2 * len(infidelities))
+            fields[1::2] = infidelities
+            f.write(template % tuple(fields))
 
 
 def infidelity(actual, target) -> float:

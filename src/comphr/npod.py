@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .composite import GateSequence, PhaseList, gate_sequence
-from .errors import ValidationError
+from .errors import ValidationError, echo
 from .linalg import expm_hermitian, require_square
 from .two_level import (
     DEFAULT_SUBSTEPS,
@@ -74,7 +74,9 @@ class NPodSystem:
             raise ValidationError("detuning must be finite")
         object.__setattr__(self, "couplings", couplings)
         object.__setattr__(self, "coupling_phases", phases)
-        if not 0.0 < self.rms_peak < math.inf:
+        # pulse_propagator divides by the rms, so its reciprocal must be finite too
+        rms = self.rms_peak
+        if not (0.0 < rms < math.inf and math.isfinite(1.0 / rms)):
             raise ValidationError("the rms coupling must be finite and nonzero")
 
     @property
@@ -84,7 +86,7 @@ class NPodSystem:
 
     @property
     def rms_peak(self) -> float:
-        return math.sqrt(sum(c * c for c in self.couplings))
+        return math.hypot(*self.couplings)
 
     @property
     def bright(self) -> np.ndarray:
@@ -128,7 +130,7 @@ def _require_stackable(n_states: int) -> None:
     """
     if (n_states + 1) ** 2 > STACK_ELEMENTS:
         raise ValidationError(f"an N-pod may have at most {math.isqrt(STACK_ELEMENTS) - 1} "
-                              f"coupled states, got {n_states}")
+                              f"coupled states, got {echo(str(n_states))}")
 
 
 def householder_matrix(target: HouseholderTarget) -> np.ndarray:

@@ -185,6 +185,37 @@ def test_hr_oversized_config_is_validation_error(tmp_path, capsys, overrides):
     assert "at most" in err
 
 
+#: A 401-digit integer.
+LONG = "1" * 401
+
+
+@pytest.mark.parametrize("argv, config, named", [
+    (["phases", "--n", LONG], None, "n must be at most"),
+    (["phases", "--n", "-" + LONG], None, "n must be odd"),
+    (["phases", "--family", "universal", "--n", LONG], None, "universal list for n="),
+    (["phases", "--family", "universal", "--n", "5", "--variant", LONG], None, "variant="),
+    (["scan-2d", "--full", "--N", LONG], None, "N-pod"),
+    (["scan-2d", "--phi", "x" * 401], None, "angle"),
+    (["scan-area", "--n", "1,x" + "1" * 400], None, "order list"),
+    (["hr"], {"family": {"family": "bb", "n": "x" * 401}}, "family order n"),
+    (["hr"], {"family": {"family": "bb", "n": 1e300}}, "n must be odd"),
+    (["hr"], {"detuning": "x" * 401}, "detuning"),
+    (["hr"], {"family": {"family": "x" * 401, "n": 3}}, "phase family"),
+], ids=["phases-n", "phases-negative-n", "universal-n", "universal-variant", "scan-2d-N",
+        "scan-2d-phi", "scan-area-n", "config-n-text", "config-n-1e300", "config-detuning",
+        "config-family"])
+def test_a_long_offending_value_is_cut_in_the_message(tmp_path, capsys, argv, config, named):
+    if argv[0].startswith("scan"):
+        argv = argv + ["--out", str(tmp_path / "out")]
+    if config is not None:
+        write_config(tmp_path / "sys.json", **config)
+        argv += ["--config", str(tmp_path / "sys.json")]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert named in err and "…" in err
+    assert len(err.encode("utf-8")) < 200
+
+
 def test_hr_integral_float_order_is_accepted(tmp_path, capsys):
     cfg = tmp_path / "sys.json"
     write_config(cfg)

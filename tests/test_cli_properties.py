@@ -39,20 +39,23 @@ ORDERS = ints([1, 3, 5, 7, 9], [-3, 0, 4, 1001, 999999999, HUGE])
 VARIANTS = ints([1, 2], [0, 3, HUGE])
 FAMILIES = mostly(st.sampled_from(["bb", "universal"]), st.just("narrowband"))
 
-#: Optional flags of each command with their values.  Grid sizes and substeps
-#: are always given (the defaults are 101x101 and 1000).
+#: Optional flags of each command with their values, besides the family
+#: flags.  Grid sizes and substeps are always given (the defaults are
+#: 101x101 and 1000).
 FLAGS = {
-    "phases": {"--family": FAMILIES, "--variant": VARIANTS},
+    "phases": {},
     "hr": {"--area": ANGLES, "--detuning": FLOATS},
-    "scan-area": {"--family": FAMILIES, "--n": st.lists(ORDERS, max_size=3).map(",".join),
-                  "--variant": VARIANTS, "--phi": ANGLES, "--min": FLOATS, "--max": FLOATS},
-    "scan-2d": {"--family": FAMILIES, "--n": ORDERS, "--variant": VARIANTS,
-                "--phi": ANGLES, "--amin": FLOATS, "--amax": FLOATS,
+    "scan-area": {"--phi": ANGLES, "--min": FLOATS, "--max": FLOATS},
+    "scan-2d": {"--phi": ANGLES, "--amin": FLOATS, "--amax": FLOATS,
                 "--dmin": FLOATS, "--dmax": FLOATS,
                 "--N": ints([1, 2, 3, 4], [-1, 0, 100000, HUGE]),
                 "--seed": ints([0, 7, 2 ** 70], [-2, -1])},
 }
-POINTS = ints([2, 3, 6], [0, 1, HUGE])
+#: The orders of each (family, variant) that name a phase list; bb ignores the variant.
+NAMED_ORDERS = {("bb", 1): [1, 3, 5, 9], ("universal", 1): [3, 5, 7], ("universal", 2): [5, 7]}
+#: Grid sizes: out of range about as often as not, with no junk.  An
+#: out-of-range size must exit 2 before any work (junk exits in argparse).
+POINTS = st.one_of(st.sampled_from([2, 3, 6]), st.sampled_from([HUGE, "-" + HUGE, 0, 1])).map(str)
 SUBSTEPS = ints([1, 7, 20], [0, -1, HUGE])
 SWITCHES = {"hr": "--dump-config", "scan-2d": "--full"}
 
@@ -92,11 +95,35 @@ def write_config(path, doc) -> str:
 
 
 @st.composite
+def family_flags(draw, order_list: bool):
+    """--family, --n and --variant: a named phase list seven times in eight.
+
+    Otherwise each of the three is given or left out on its own, with junk
+    and out-of-range values.  A named list is drawn this often because an
+    invalid --n/--variant pair (scan-2d defaults to --family universal)
+    exits 2 before the grid and the kernel see any input.  `order_list`
+    draws --n as a comma-separated list of orders, as scan-area takes it.
+    """
+    if draw(st.sampled_from(range(8))) == 7:
+        orders = st.lists(ORDERS, max_size=3).map(",".join) if order_list else ORDERS
+        return {flag: values for flag, values in
+                (("--family", FAMILIES), ("--n", orders), ("--variant", VARIANTS))
+                if draw(st.booleans())}
+    family, variant = draw(st.sampled_from(sorted(NAMED_ORDERS)))
+    orders = st.sampled_from(NAMED_ORDERS[family, variant]).map(str)
+    if order_list:
+        orders = st.lists(orders, min_size=1, max_size=3).map(",".join)
+    return {"--family": st.just(family), "--n": orders, "--variant": st.just(str(variant))}
+
+
+@st.composite
 def argvs(draw, tmp_path):
     command = draw(st.sampled_from(sorted(FLAGS)))
     flags = {flag: values for flag, values in FLAGS[command].items() if draw(st.booleans())}
+    if command != "hr":
+        flags.update(draw(family_flags(order_list=command == "scan-area")))
     if command == "phases":
-        flags["--n"] = ORDERS
+        flags.setdefault("--n", ORDERS)
     if command == "hr":
         flags["--config"] = CONFIGS.map(lambda doc: write_config(tmp_path / "sys.json", doc))
         flags["--substeps"] = SUBSTEPS

@@ -65,6 +65,36 @@ def test_expm_output_is_unitary():
         assert unitarity_defect(u) <= 1e-12
 
 
+@pytest.mark.parametrize("h_batch, t_shape", [
+    ((5,), (5,)),          # t has no axes that h lacks
+    ((5,), (3, 5)),        # one extra leading axis: the area rows of a map
+    ((5,), (2, 3, 5)),     # two extra leading axes
+    ((5,), ()),            # scalar t
+    ((), (3, 4)),          # a single matrix for a whole grid of times
+    ((1,), (3, 5)),        # size-1 batch axes of h broadcast against t
+    ((4, 1), (2, 4, 6)),
+    ((4, 6), (1, 6)),
+])
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_expm_stack_matches_per_matrix_calls(h_batch, t_shape, dim):
+    from comphr.linalg import SERIAL_BLAS, expm_hermitian_stack
+
+    rng = np.random.default_rng(dim)
+    h = np.empty(h_batch + (dim, dim), dtype=complex)
+    for index in np.ndindex(h_batch):
+        h[index] = random_hermitian(rng, dim)
+    t = rng.uniform(-3.0, 3.0, t_shape)
+    grid = np.broadcast_shapes(h_batch, t_shape)
+    with SERIAL_BLAS:
+        u = expm_hermitian_stack(h, t)
+        assert u.shape == grid + (dim, dim)
+        hs, ts = np.broadcast_to(h, grid + (dim, dim)), np.broadcast_to(t, grid)
+        for index in np.ndindex(grid):
+            one = expm_hermitian_stack(hs[index], ts[index])
+            assert np.array_equal(u[index], one)
+            assert np.max(np.abs(u[index] - expm_hermitian(hs[index], ts[index]))) <= 1e-14
+
+
 def test_unitarity_defect_examples():
     assert unitarity_defect(np.eye(4)) == 0.0
     assert unitarity_defect(np.diag([2.0, 1.0])) == pytest.approx(3.0)

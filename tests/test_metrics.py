@@ -1,5 +1,6 @@
 """Infidelity metrics, the analytic broadband law, and the scan drivers."""
 
+import hashlib
 import math
 import tracemalloc
 
@@ -328,21 +329,32 @@ def test_csv_file_output_deterministic(tmp_path):
     assert p1.read_text() == result.csv_text()
 
 
-def per_value_csv(result):
-    """The CSV text built one `format(x, ".17g")` call per value: the reference format."""
-    def fmt(x):
-        return format(float(x), ".17g")
-
-    xs = result.grid.axis1.values()
+def per_value_lines(result):
+    """The CSV lines, each number written with format(value, ".17g"): the reference format."""
+    xs = [format(x, ".17g") for x in result.grid.axis1.values().tolist()]
     if result.grid.axis2 is None:
-        lines = [",".join(["A_over_pi"] + [f"F_{label}" for label in result.labels])]
-        lines += [",".join([fmt(x)] + [fmt(v) for v in result.values[:, j]])
-                  for j, x in enumerate(xs)]
+        yield ",".join(["A_over_pi"] + [f"F_{label}" for label in result.labels]) + "\n"
+        for x, vs in zip(xs, result.values.T.tolist()):
+            yield ",".join([x] + [format(v, ".17g") for v in vs]) + "\n"
     else:
-        lines = ["A_over_pi,Delta_over_Omega,F"]
-        lines += [f"{fmt(x)},{fmt(y)},{fmt(result.values[i, j])}"
-                  for i, x in enumerate(xs) for j, y in enumerate(result.grid.axis2.values())]
-    return "\n".join(lines) + "\n"
+        yield "A_over_pi,Delta_over_Omega,F\n"
+        ys = [format(y, ".17g") for y in result.grid.axis2.values().tolist()]
+        for x, vs in zip(xs, result.values.tolist()):
+            yield "".join([f"{x},{y},{v:.17g}\n" for y, v in zip(ys, vs)])
+
+
+def per_value_csv(result):
+    return "".join(per_value_lines(result))
+
+
+class Sha256Sink:
+    """A text file that keeps only the sha256 of the UTF-8 bytes written to it."""
+
+    def __init__(self):
+        self.sha = hashlib.sha256()
+
+    def write(self, text):
+        self.sha.update(text.encode("utf-8"))
 
 
 def test_csv_matches_the_per_value_format():
@@ -360,3 +372,22 @@ def test_csv_matches_the_per_value_format():
     ]
     for result in results:
         assert result.csv_text() == per_value_csv(result)
+
+
+@pytest.mark.parametrize("rows, cols", [(2, 1 << 19), (16, 1 << 16), (1 << 10, 1 << 10),
+                                        (1 << 19, 2), (301, 301)])
+def test_csv_of_large_maps_matches_the_per_value_format(rows, cols):
+    grid = ScanGrid(ScanAxis(AXIS_AREA, 0.0, 2.0, rows), ScanAxis(AXIS_DETUNING, -2.0, 2.0, cols))
+    result = ScanResult(grid, ("u",), np.random.default_rng(rows).random((rows, cols)) ** 3)
+    written, reference = Sha256Sink(), Sha256Sink()
+    if rows == 2 or cols == 2:  # the widest and the tallest grid
+        _, peak = traced_peak(lambda: result.to_csv(written))
+        # The area axis; the detuning axis, with the text of each detuning
+        # held once (at most 24 characters, plus 10 of its line template);
+        # and the text of one write.
+        assert peak <= 8 * rows + (8 + 40) * cols + (1 << 20)
+    else:
+        result.to_csv(written)
+    for text in per_value_lines(result):
+        reference.write(text)
+    assert written.sha.hexdigest() == reference.sha.hexdigest()

@@ -111,9 +111,19 @@ def test_npod_system_validation():
         NPodSystem((1.0, -1.0), (0.0, 0.0))
     with pytest.raises(ValidationError):
         NPodSystem((1.0,), (0.0, 0.0))
-    for tiny_or_huge in (5e-324, 1e200):  # the rms underflows to 0 or overflows
+    # the reciprocal of the rms overflows, or the rms itself
+    for tiny_or_huge in ((5e-324,), (1e-310,), (1.5e308, 1.5e308)):
         with pytest.raises(ValidationError, match="rms"):
-            NPodSystem((tiny_or_huge,), (0.0,))
+            NPodSystem(tiny_or_huge, (0.0,) * len(tiny_or_huge))
+
+
+def test_rms_coupling_neither_underflows_nor_overflows():
+    # the sum of squares underflows to 0 for 1e-200 and overflows for 1e200
+    for couplings, rms in (((1e-200,), 1e-200), ((1e200, 1e200), math.sqrt(2.0) * 1e200),
+                           ((3e-200, 4e-200), 5e-200)):
+        sys = NPodSystem(couplings, (0.0,) * len(couplings))
+        assert sys.rms_peak == pytest.approx(rms, rel=1e-15)
+        assert abs(np.linalg.norm(sys.bright) - 1.0) <= 1e-15
 
 
 def test_system_size_is_bounded_by_the_stack(monkeypatch):
