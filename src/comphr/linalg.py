@@ -140,11 +140,15 @@ def expm_hermitian_stack(h: np.ndarray, t) -> np.ndarray:
     extra = max(t.ndim - (h.ndim - 2), 0)
     rows, count = t.shape[:extra], math.prod(t.shape[:extra])
     # the times of each decomposition's row group on the last axis
-    t = np.moveaxis(t.reshape((count,) + t.shape[extra:]), 0, -1)
+    # (transpose, not np.moveaxis, whose overhead shows on single gates)
+    t = t.reshape((count,) + t.shape[extra:])
+    t = t.transpose(tuple(range(1, t.ndim)) + (0,))
     phase = np.exp(-1j * t[..., None] * w[..., None, :])
     scaled = v[..., None, :, :] * phase[..., None, :]
     u = scaled.reshape(scaled.shape[:-3] + (count * n, n)) @ v.conj().swapaxes(-1, -2)
-    u = np.moveaxis(u.reshape(u.shape[:-2] + (count, n, n)), -3, 0)
+    u = u.reshape(u.shape[:-2] + (count, n, n))
+    lead = u.ndim - 3
+    u = u.transpose((lead,) + tuple(range(lead)) + (lead + 1, lead + 2))
     return u.reshape(rows + u.shape[1:])
 
 
