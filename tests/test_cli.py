@@ -18,6 +18,7 @@ from comphr import (
     bb_phases,
     composite_phase_gate,
     gate_sequence,
+    star_propagator,
     universal_phases,
 )
 from comphr.cli import main, parse_angle
@@ -357,14 +358,24 @@ def reference_shortcut(family, hr_phase, areas, detunings):
     return np.abs(u[..., 0, 0] - np.exp(1j * hr_phase))
 
 
-def reference_scan(families, hr_phase, grid):
-    """The ScanResult of the reference shortcut path on a 1D or 2D grid."""
+def kernel_shortcut(family, hr_phase, areas, detunings):
+    """|u00 - e^{i phi}| of the two-level kernel on the whole grid, the reference for its digests.
+
+    The Cayley-Klein shortcut path: one star_propagator call with bright = [1]
+    on the whole grid, and the bright amplitude against e^{i phi} by np.abs.
+    """
+    phases = gate_sequence(family, 2.0 * hr_phase).pulse_phases
+    u = star_propagator((1.0,), phases, areas, detunings)
+    return np.abs(u[..., 0, 0] - np.exp(1j * hr_phase))
+
+
+def reference_scan(families, hr_phase, grid, shortcut=reference_shortcut):
+    """The ScanResult of a reference shortcut path on a 1D or 2D grid."""
     areas = grid.axis1.values() * PI
     if grid.axis2 is None:
-        values = np.stack([reference_shortcut(f, hr_phase, areas, 0.0) for f in families])
+        values = np.stack([shortcut(f, hr_phase, areas, 0.0) for f in families])
     else:
-        values = reference_shortcut(families[0], hr_phase, areas[:, None],
-                                    grid.axis2.values()[None, :])
+        values = shortcut(families[0], hr_phase, areas[:, None], grid.axis2.values()[None, :])
     return ScanResult(grid, tuple(f.label for f in families), values)
 
 
@@ -394,11 +405,26 @@ REFERENCE_CSV = {
 }
 
 
+#: sha256 of the kernel path's CSVs; from the Cayley-Klein pulse train on, the
+#: CLI wrote the same bytes.
+KERNEL_CSV = {
+    "scan-area": "14981005dd657e2e9d494ac59e3f0104848a896477c02fc90cab5117e0ddb121",
+    "scan-2d": "d0dde6a19f4a415884137cd82639b963ff3c2f3f9d95d84e0fad99e85db046b7",
+}
+
+
 @pytest.mark.parametrize("name", sorted(REFERENCE_CSV))
 def test_reference_shortcut_path_keeps_the_old_digests(name):
     _, families, phi, grid = SHORTCUT_SCANS[name]
     text = reference_scan(families, phi, grid).csv_text()
     assert hashlib.sha256(text.encode()).hexdigest() == REFERENCE_CSV[name]
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_CSV))
+def test_kernel_shortcut_path_keeps_its_digests(name):
+    _, families, phi, grid = SHORTCUT_SCANS[name]
+    text = reference_scan(families, phi, grid, kernel_shortcut).csv_text()
+    assert hashlib.sha256(text.encode()).hexdigest() == KERNEL_CSV[name]
 
 
 @pytest.mark.parametrize("name", SHORTCUT_SCANS)
@@ -408,9 +434,10 @@ def test_shortcut_scans_match_the_reference_path(tmp_path, capsys, name):
     code, _, _ = run(capsys, *argv, "--out", str(out))
     assert code == 0
     rows = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
-    reference = reference_scan(families, phi, grid).values
-    values = rows[:, 1:].T if grid.axis2 is None else rows[:, 2].reshape(reference.shape)
-    assert np.max(np.abs(values - reference)) <= 1e-13
+    for shortcut in (reference_shortcut, kernel_shortcut):
+        reference = reference_scan(families, phi, grid, shortcut).values
+        values = rows[:, 1:].T if grid.axis2 is None else rows[:, 2].reshape(reference.shape)
+        assert np.max(np.abs(values - reference)) <= 1e-13
 
 
 def test_scan_area_bad_n_list(tmp_path, capsys):
