@@ -20,7 +20,7 @@ import re
 import sys
 
 from .composite import BROADBAND, UNIVERSAL, PhaseList, bb_phases, universal_phases
-from .errors import ValidationError, echo
+from .errors import ECHO_CHARS, ValidationError, echo
 from .metrics import (
     AXIS_AREA,
     AXIS_DETUNING,
@@ -97,7 +97,7 @@ def _load_config(path: str) -> dict:
         data = f.read()
     try:
         doc = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, huge ints, deep nesting
         raise ValidationError(f"malformed JSON config {path}: {exc}") from None
     if not isinstance(doc, dict):
         raise ValidationError(f"config {path} must hold a JSON object")
@@ -256,8 +256,14 @@ def cmd_scan_2d(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """Exit 2 with `message` cut like an echoed value: argparse quotes the value whole."""
+        super().error(echo(message, 3 * ECHO_CHARS))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="comphr",
         description="Composite-pulse Householder reflections: phase tables, "
                     "gate simulation, robustness scans.",

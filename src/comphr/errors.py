@@ -8,6 +8,6 @@ class ValidationError(ValueError):
     """An input violates a documented precondition."""
 
 
-def echo(text: str) -> str:
-    """`text` for an error message: its first ECHO_CHARS characters, then "…" if cut."""
-    return text if len(text) <= ECHO_CHARS else text[:ECHO_CHARS] + "…"
+def echo(text: str, chars: int = ECHO_CHARS) -> str:
+    """`text` for an error message: its first `chars` characters, then "…" if cut."""
+    return text if len(text) <= chars else text[:chars] + "…"

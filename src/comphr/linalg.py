@@ -139,10 +139,11 @@ def expm_hermitian_stack(h: np.ndarray, t) -> np.ndarray:
     t = np.asarray(t, dtype=float)
     extra = max(t.ndim - (h.ndim - 2), 0)
     rows, count = t.shape[:extra], math.prod(t.shape[:extra])
-    # the times of each decomposition's row group on the last axis
+    # the times of each decomposition's row group on the last axis, contiguous
+    # so that `scaled` is too and its reshape takes no copy of the stack
     # (transpose, not np.moveaxis, whose overhead shows on single gates)
     t = t.reshape((count,) + t.shape[extra:])
-    t = t.transpose(tuple(range(1, t.ndim)) + (0,))
+    t = np.ascontiguousarray(t.transpose(tuple(range(1, t.ndim)) + (0,)))
     phase = np.exp(-1j * t[..., None] * w[..., None, :])
     scaled = v[..., None, :, :] * phase[..., None, :]
     u = scaled.reshape(scaled.shape[:-3] + (count * n, n)) @ v.conj().swapaxes(-1, -2)

@@ -8,9 +8,9 @@ are equal outright, not merely up to phase).
 Because the dark states are exact spectators, the manifold propagator is
 (I - |v><v|) + u00 |v><v| with u00 the bright-to-bright amplitude of the
 two-level composite at the rms parameters, so the infidelity collapses to
-|u00 - e^{i phi}| independently of the dimension and of v.  Scans use this
-two-level shortcut unless they are given a system, which they then propagate
-through all N+1 levels as a cross-check.
+|u00 - e^{i phi}| independently of the dimension and of v.  Scans propagate
+this two-level shortcut as the N = 1 system unless they are given a system,
+which they then propagate through all N+1 levels as a cross-check.
 """
 
 from __future__ import annotations
@@ -31,6 +31,8 @@ from .two_level import DEFAULT_SUBSTEPS, STACK_ELEMENTS, grid_chunks, star_propa
 AXIS_AREA = "area_over_pi"
 AXIS_DETUNING = "detuning_over_omega"
 _AXIS_NAMES = (AXIS_AREA, AXIS_DETUNING)
+#: The two-level shortcut: the bright-ancilla pair alone, an N-pod with N = 1.
+_SHORTCUT = NPodSystem((1.0,), (0.0,))
 
 
 @dataclass(frozen=True)
@@ -154,12 +156,6 @@ def bb_infidelity_analytic(hr_phase: float, area: float, n: int):
     return 2.0 * np.abs(np.sin(0.5 * hr_phase)) * np.cos(0.5 * np.asarray(area)) ** (2 * int(n))
 
 
-def _shortcut_infidelity(family: PhaseList, hr_phase: float, areas, detunings) -> np.ndarray:
-    seq = gate_sequence(family, 2.0 * hr_phase)
-    u = star_propagator((1.0,), seq.pulse_phases, areas, detunings)
-    return np.abs(u[..., 0, 0] - np.exp(1j * hr_phase))
-
-
 def _areas(axis: ScanAxis) -> np.ndarray:
     """The values of an A/pi axis as areas in radians.
 
@@ -172,6 +168,25 @@ def _areas(axis: ScanAxis) -> np.ndarray:
     return axis.values() * math.pi
 
 
+def _infidelity_map(family: PhaseList, hr_phase: float, system: NPodSystem, areas, dets,
+                    substeps: int = DEFAULT_SUBSTEPS) -> np.ndarray:
+    """Infidelity of the system's manifold block at every (area, detuning) pair.
+
+    The grid is evaluated in blocks of at most STACK_ELEMENTS propagator
+    elements (see :func:`comphr.two_level.grid_chunks`), and each block
+    decomposes its detunings once, not once per point (see ``star_propagator``).
+    """
+    n = system.n_states
+    target = householder_matrix(HouseholderTarget(system.bright, hr_phase))
+    phases = gate_sequence(family, 2.0 * hr_phase).pulse_phases
+    values = np.empty((areas.size, dets.size))
+    for rows, cols in grid_chunks(areas.size, dets.size, (n + 1) ** 2):
+        u = star_propagator(system.bright, phases, areas[rows, None], dets[None, cols],
+                            system.shape, substeps)
+        values[rows, cols] = np.linalg.norm(u[..., :n, :n] - target, axis=(-2, -1))
+    return values
+
+
 def scan_area(families: Sequence[PhaseList], hr_phase: float, grid: ScanGrid) -> ScanResult:
     """Resonant infidelity versus rms pulse area for each family (exact propagators)."""
     if grid.axis2 is not None:
@@ -181,7 +196,8 @@ def scan_area(families: Sequence[PhaseList], hr_phase: float, grid: ScanGrid) ->
     if len(families) == 0:
         raise ValidationError("scan_area needs at least one family")
     areas = _areas(grid.axis1)
-    values = np.stack([_shortcut_infidelity(fam, hr_phase, areas, 0.0) for fam in families])
+    values = np.stack([_infidelity_map(fam, hr_phase, _SHORTCUT, areas, np.zeros(1))[:, 0]
+                       for fam in families])
     return ScanResult(grid=grid, labels=tuple(f.label for f in families), values=values)
 
 
@@ -190,31 +206,14 @@ def scan_2d(family: PhaseList, hr_phase: float, grid: ScanGrid, *,
             substeps: int = DEFAULT_SUBSTEPS) -> ScanResult:
     """Infidelity over an (area, detuning) grid for one family.
 
-    Without a system this evaluates the detuned two-level composite and the
-    manifold reconstruction |u00 - e^{i phi}|.  A given system is propagated
-    through all N+1 levels at every grid point instead, with `substeps`
-    slices per shaped pulse, and the manifold block is compared with the
-    target reflection; this cross-checks the shortcut.  The grid is then
-    evaluated in blocks of area rows (a row split into detuning ranges if it
-    is longer) of at most STACK_ELEMENTS propagator elements, and each block
-    decomposes its detunings once, not once per point (see
-    :func:`comphr.two_level.grid_chunks` and ``star_propagator``).
+    Without a system this propagates the two-level shortcut, the N = 1
+    system.  A given system is propagated through all N+1 levels instead,
+    with `substeps` slices per shaped pulse, which cross-checks the shortcut.
     """
     if grid.axis2 is None:
         raise ValidationError("scan_2d takes a two-dimensional grid")
     if grid.axis1.name != AXIS_AREA or grid.axis2.name != AXIS_DETUNING:
         raise ValidationError(f"scan_2d needs axes ({AXIS_AREA}, {AXIS_DETUNING})")
-    areas = _areas(grid.axis1)
-    dets = grid.axis2.values()
-    if system is None:
-        values = _shortcut_infidelity(family, hr_phase, areas[:, None], dets[None, :])
-    else:
-        n = system.n_states
-        target = householder_matrix(HouseholderTarget(system.bright, hr_phase))
-        phases = gate_sequence(family, 2.0 * hr_phase).pulse_phases
-        values = np.empty((areas.size, dets.size))
-        for rows, cols in grid_chunks(areas.size, dets.size, (n + 1) ** 2):
-            u = star_propagator(system.bright, phases, areas[rows, None], dets[None, cols],
-                                system.shape, substeps)
-            values[rows, cols] = np.linalg.norm(u[..., :n, :n] - target, axis=(-2, -1))
+    values = _infidelity_map(family, hr_phase, _SHORTCUT if system is None else system,
+                             _areas(grid.axis1), grid.axis2.values(), substeps)
     return ScanResult(grid=grid, labels=(family.label,), values=values)

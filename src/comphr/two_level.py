@@ -31,10 +31,10 @@ the unit of frequency):
   alone, so the kernel decomposes each detuning once, whatever the areas.
 
 The single pulse above is ``star_propagator((1.0,), (phi,), A, Delta, shape,
-substeps)``.  :func:`star_propagator` computes every propagator of the
-package except two: :func:`resonant_propagator`, the closed form that tests
-compare against, and the single rectangular pulse of
-:func:`comphr.npod.pulse_propagator`.
+substeps)``, the N = 1 star system, and a rectangular pulse is one slice.
+:func:`star_propagator` computes every propagator of the package except two:
+:func:`resonant_propagator`, the closed form that tests compare against, and
+the single rectangular pulse of :func:`comphr.npod.pulse_propagator`.
 """
 
 from __future__ import annotations
@@ -226,17 +226,20 @@ def slice_product(generators, count: int, dt, elements_per_slice: int) -> np.nda
     are exponentiated in groups within STACK_ELEMENTS elements, each group is
     multiplied by :func:`time_ordered_product`, and the groups in time order.
 
-    The product then takes one Newton-Schulz step towards its polar factor,
-    u (3 - u^dagger u) / 2.  Slices that share an eigenbasis (all slices of a
-    resonant pulse do) share the round-off of their eigenvectors, which adds
-    up coherently to a unitarity defect near 5e-13 per 1000 slices.  The
-    step removes that defect to first order and moves the result by no more
-    than the defect itself.
+    A product of several slices then takes one Newton-Schulz step towards its
+    polar factor, u (3 - u^dagger u) / 2.  Slices that share an eigenbasis
+    (all slices of a resonant pulse do) share the round-off of their
+    eigenvectors, which adds up coherently to a unitarity defect near 5e-13
+    per 1000 slices.  The step removes that defect to first order and moves
+    the result by no more than the defect itself.  One slice (a rectangular
+    pulse) is one spectral exponential, unitary to round-off, and takes none.
     """
     u = None
     for part in stack_chunks(count, elements_per_slice):
         group = time_ordered_product(expm_hermitian_stack(generators(part.start, part.stop), dt))
         u = group if u is None else group @ u
+    if count == 1:
+        return u
     eye = np.eye(u.shape[-1])
     return u @ (1.5 * eye - 0.5 * (u.conj().swapaxes(-1, -2) @ u))
 
@@ -256,19 +259,19 @@ def star_propagator(bright, pulse_phases, areas, detunings=0.0,
     broadcast(areas, detunings) + (N+1, N+1).  The two-level propagator of
     this module's frame is the case bright = [1].
 
+    Every pulse is the product of its midpoint slices by
+    :func:`slice_product`: one slice if rectangular (exact), else `substeps`.
     A generator depends on the detuning and the envelope, not on the area,
     so the detunings are decomposed as passed, before they broadcast against
-    the areas: a rectangular pulse takes one spectral decomposition per
-    detuning (an outer grid ``areas[:, None]``, ``detunings[None, :]`` takes
-    one per column), a shaped one takes one per detuning and slice, whose
-    `substeps` midpoint slices are multiplied by :func:`slice_product`.  A
-    drive phase p is the diagonal conjugation D u D^dagger with
+    the areas: one spectral decomposition per detuning and slice (an outer
+    grid ``areas[:, None]``, ``detunings[None, :]`` takes one per column and
+    slice).  A drive phase p is the diagonal conjugation D u D^dagger with
     D = diag(e^{ip}, ..., e^{ip}, 1), applied as an elementwise rescale.  A
-    rectangular two-level train is composed in Cayley-Klein form, a few
-    elementwise updates per pulse (see :func:`_two_level_train`); any other
-    train takes one batched matmul per pulse after the first.  The grid is
-    evaluated in blocks whose stacks stay within STACK_ELEMENTS elements, on
-    one BLAS thread (see linalg.SERIAL_BLAS).
+    two-level train of one-slice pulses is composed in Cayley-Klein form, a
+    few elementwise updates per pulse (see :func:`_two_level_train`); any
+    other train takes one batched matmul per pulse after the first.  The grid
+    is evaluated in blocks whose stacks stay within STACK_ELEMENTS elements,
+    on one BLAS thread (see linalg.SERIAL_BLAS).
 
     `substeps` must lie in 1..STACK_ELEMENTS whatever the envelope, and the
     longest duration times (max |Delta| + 1) must be finite; both are
@@ -294,10 +297,10 @@ def star_propagator(bright, pulse_phases, areas, detunings=0.0,
     longest = float(np.max(a, initial=0.0)) / shape.unit_integral()
     if not math.isfinite(longest * (float(np.max(np.abs(d), initial=0.0)) + 1.0)):
         raise ValidationError("area x detuning is too large: the pulse phases overflow")
-    substeps = _slice_count(substeps)
+    if not (1 <= substeps <= STACK_ELEMENTS and int(substeps) == substeps):
+        raise ValidationError(f"substeps must be an integer from 1 to {STACK_ELEMENTS}")
     dim = coupling.size + 1
-    sliced = shape.kind != RECTANGULAR
-    count = substeps if sliced else 1
+    count = 1 if shape.kind == RECTANGULAR else int(substeps)
     # rows x cols view of the grid: the detunings repeat over the leading
     # axes they broadcast along, so every row sees the same `dets`.
     d_axes = (1,) * (len(grid) - d.ndim) + d.shape
@@ -309,15 +312,13 @@ def star_propagator(bright, pulse_phases, areas, detunings=0.0,
     with SERIAL_BLAS:
         for rows, cols in grid_chunks(*durations.shape, count * dim * dim):
             t, det = durations[rows, cols], dets[cols]
-            if sliced:
-                def generators(first, last):
-                    mid = (np.arange(first, last) + 0.5) / count
-                    return _star_generators(coupling, shape.envelope(mid), det[:, None])
 
-                u = slice_product(generators, count, t[..., None] / count, t.size * dim * dim)
-            else:
-                u = expm_hermitian_stack(_star_generators(coupling, 1.0, det), t)
-            if dim == 2 and not sliced:
+            def generators(first, last):
+                mid = (np.arange(first, last) + 0.5) / count
+                return _star_generators(coupling, shape.envelope(mid), det[:, None])
+
+            u = slice_product(generators, count, t[..., None] / count, t.size * dim * dim)
+            if dim == 2 and count == 1:
                 # the train needs row 0 only: release the stack before it runs
                 a0, b0 = u[..., 0, 0].copy(), u[..., 0, 1].copy()
                 del u
@@ -325,13 +326,6 @@ def star_propagator(bright, pulse_phases, areas, detunings=0.0,
             else:
                 out[rows, cols] = _pulse_train(u, phases)
     return out.reshape(grid + (dim, dim))
-
-
-def _slice_count(substeps) -> int:
-    """`substeps` as an int, checked for every envelope: 1 to STACK_ELEMENTS slices."""
-    if not (1 <= substeps <= STACK_ELEMENTS and int(substeps) == substeps):
-        raise ValidationError(f"substeps must be an integer from 1 to {STACK_ELEMENTS}")
-    return int(substeps)
 
 
 def _star_generators(coupling: np.ndarray, envelope, detunings) -> np.ndarray:
@@ -366,7 +360,7 @@ def _pulse_train(u0: np.ndarray, phases: tuple[float, ...]) -> np.ndarray:
 
 
 def _two_level_train(a, b, phase_area, phases: tuple[float, ...], out: np.ndarray) -> None:
-    """:func:`_pulse_train` of a rectangular two-level pulse by elementwise Cayley-Klein updates.
+    """:func:`_pulse_train` of a one-slice two-level pulse by elementwise Cayley-Klein updates.
 
     `a` and `b` are u0[..., 0, 0] and u0[..., 0, 1] of the pulse at phase 0,
     and `phase_area` is Delta T.  The generator has trace Delta, so

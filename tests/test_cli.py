@@ -236,6 +236,29 @@ def test_hr_config_that_is_not_a_json_object_is_validation_error(tmp_path, capsy
     assert "config" in err
 
 
+@pytest.mark.parametrize("data", [b'{"family": {"family": "bb", "n": ' + b"1" * 5000 + b"}}",
+                                  b"[" * 100000], ids=["5000-digit-n", "deep-nesting"])
+def test_hr_config_that_json_cannot_read_is_validation_error(tmp_path, capsys, data):
+    # json.loads raises a plain ValueError for an int of more than 4300
+    # digits, and a RecursionError for nesting deeper than the stack
+    cfg = tmp_path / "c.json"
+    cfg.write_bytes(data)
+    code, _, err = run(capsys, "hr", "--config", str(cfg))
+    assert code == 2
+    assert "config" in err and "Traceback" not in err
+    assert len(err.encode("utf-8")) < 300
+
+
+@pytest.mark.parametrize("argv", [["phases", "--n"], ["scan-2d", "--out", "x.csv", "--apoints"]],
+                         ids=["phases-n", "scan-2d-apoints"])
+def test_an_argparse_error_cuts_the_offending_value(capsys, argv):
+    code, _, err = run(capsys, *argv, "1" * 5000)
+    assert code == 2
+    assert f"argument {argv[-1]}: invalid int value" in err and "…" in err
+    # the usage line of the command (under 400 bytes) and the cut message
+    assert len(err.encode("utf-8")) < 600
+
+
 def test_hr_missing_config_is_io_error(tmp_path, capsys):
     code, _, _ = run(capsys, "hr", "--config", str(tmp_path / "nope.json"))
     assert code == 3
@@ -276,14 +299,14 @@ def test_scan_area_deterministic_bytes(tmp_path, capsys):
 #: formatting, changes the digest.  All three digests fail with
 #: OPENBLAS_CORETYPE=Haswell, Sandybridge or Prescott: other BLAS kernels
 #: round some results differently in the last bit.
-#: The two shortcut digests were taken after the two-level pulse train moved
-#: to Cayley-Klein form; test_shortcut_scans_match_the_reference_path ties
-#: them to the older path.
+#: The two shortcut digests were taken after the shortcut became the N = 1
+#: system of the full-map loop; test_shortcut_scans_match_the_reference_path
+#: ties them to the two older paths.
 GOLDEN_CSV = [
     (["scan-area", "--n", "1,3,5,9", "--phi", "pi/2", "--points", "161"],
-     "14981005dd657e2e9d494ac59e3f0104848a896477c02fc90cab5117e0ddb121"),
+     "2b33eeed3efc496ca66a7206e1d66260383bca5fd45bf418e23c3442f107bdc4"),
     (["scan-2d", "--apoints", "11", "--dpoints", "11"],
-     "d0dde6a19f4a415884137cd82639b963ff3c2f3f9d95d84e0fad99e85db046b7"),
+     "0c29d6c096982d195bff616e7905f0a7566c4af23664f12abcca6b8664cb40c4"),
     (["scan-2d", "--apoints", "11", "--dpoints", "11", "--full", "--N", "3", "--seed", "7"],
      "c0f9c42253bd18a660a9da1b9b1104b9b52d3476c2482807a7d70931d1763161"),
 ]
@@ -405,8 +428,8 @@ REFERENCE_CSV = {
 }
 
 
-#: sha256 of the kernel path's CSVs; from the Cayley-Klein pulse train on, the
-#: CLI wrote the same bytes.
+#: sha256 of the kernel path's CSVs; from the Cayley-Klein pulse train until
+#: the shortcut became the N = 1 system, the CLI wrote the same bytes.
 KERNEL_CSV = {
     "scan-area": "14981005dd657e2e9d494ac59e3f0104848a896477c02fc90cab5117e0ddb121",
     "scan-2d": "d0dde6a19f4a415884137cd82639b963ff3c2f3f9d95d84e0fad99e85db046b7",

@@ -229,17 +229,22 @@ def test_gate_accepts_detuning():
 def test_shaped_gate_on_resonance_is_unitary():
     # All slices of a resonant pulse share one eigenbasis, so their round-off
     # adds up coherently over 2n x 1000 slices; uncorrected, the gate's
-    # unitarity defect reached 9e-12 and Propagator2 rejected it.
+    # unitarity defect reached 9e-12 and Propagator2 rejected it.  Off
+    # resonance too, a shaped train must keep the matmul train: composed in
+    # Cayley-Klein form from its first row, the defect reached 2.7e-14.
     triangle = tabulated([(0.0, 0.0), (0.5, 1.0), (1.0, 0.0)])
     for fam in (bb_phases(3), bb_phases(9), universal_phases(7, 2)):
         for shape in (gaussian(), triangle):
             for area in (0.9 * PI, PI):
-                seq = gate_sequence(fam, 2 * PI)
-                g = sequence_propagator(seq, area, 0.0, shape, 1000).u
-                assert unitarity_defect(g) <= 1e-14
-                # on resonance only the area matters, not the envelope
-                rect = sequence_propagator(seq, area, 0.0).u
-                assert np.max(np.abs(g - rect)) <= 1e-6
+                for detuning in (0.0, 0.1, -0.2):
+                    for alpha in (PI, 2 * PI):
+                        seq = gate_sequence(fam, alpha)
+                        g = sequence_propagator(seq, area, detuning, shape, 1000).u
+                        assert unitarity_defect(g) <= 1e-14
+                        if detuning == 0.0:
+                            # on resonance only the area matters, not the envelope
+                            rect = sequence_propagator(seq, area, 0.0).u
+                            assert np.max(np.abs(g - rect)) <= 1e-6
 
 
 def test_overflowing_sequence_is_rejected():
