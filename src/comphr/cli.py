@@ -257,6 +257,13 @@ def cmd_scan_2d(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # A token that starts with "-" and a digit, ".digit" or "pi" is a value,
+        # so "--phi -pi/3" and "--dmin -1e-3" work: argparse's own pattern
+        # knows neither angles nor exponents.
+        self._negative_number_matcher = re.compile(r"-(\d|\.\d|pi)")
+
     def error(self, message):
         """Exit 2 with `message` cut like an echoed value: argparse quotes the value whole."""
         super().error(echo(message, 3 * ECHO_CHARS))

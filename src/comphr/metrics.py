@@ -172,9 +172,11 @@ def _infidelity_map(family: PhaseList, hr_phase: float, system: NPodSystem, area
                     substeps: int = DEFAULT_SUBSTEPS) -> np.ndarray:
     """Infidelity of the system's manifold block at every (area, detuning) pair.
 
-    The grid is evaluated in blocks of at most STACK_ELEMENTS propagator
-    elements (see :func:`comphr.two_level.grid_chunks`), and each block
-    decomposes its detunings once, not once per point (see ``star_propagator``).
+    The grid is passed to the kernel in blocks of whole detuning columns of
+    at most STACK_ELEMENTS propagator elements (see
+    :func:`comphr.two_level.grid_chunks`), which bounds the propagators held
+    at once; the kernel works through each in smaller blocks of its own and
+    decomposes each detuning once, not once per point (see ``star_propagator``).
     """
     n = system.n_states
     target = householder_matrix(HouseholderTarget(system.bright, hr_phase))

@@ -177,27 +177,40 @@ def resonant_propagator(area: float, phase: float = 0.0) -> Propagator2:
 #: flat whatever grid or number of substeps is asked for.
 STACK_ELEMENTS = 1 << 20
 
+#: Elements of the grid blocks the kernel works in (512 KB of complex128):
+#: small enough that a block's elementwise temporaries stay in cache.
+BLOCK_ELEMENTS = 1 << 15
 
-def stack_chunks(count: int, elements_each: int):
+
+def stack_chunks(count: int, elements_each: int, budget: int | None = None):
     """Consecutive index ranges over `count` items of `elements_each` complex elements.
 
-    Each range holds at most STACK_ELEMENTS elements, and at least one item.
+    Each range holds at most `budget` (default STACK_ELEMENTS) elements, and
+    at least one item.
     """
-    step = max(1, STACK_ELEMENTS // max(1, elements_each))
+    budget = STACK_ELEMENTS if budget is None else budget
+    step = max(1, budget // max(1, elements_each))
     for first in range(0, count, step):
         yield slice(first, min(first + step, count))
 
 
-def grid_chunks(rows: int, cols: int, elements_each: int):
+def grid_chunks(rows: int, cols: int, elements_each: int, budget: int | None = None):
     """(row range, column range) blocks over a rows x cols grid of `elements_each`-element items.
 
-    Blocks take whole rows while a row fits in STACK_ELEMENTS elements; a
-    longer row is split into column ranges.  Each block holds at most
-    STACK_ELEMENTS elements, and at least one item.
+    The rows are areas and the columns detunings.  Blocks take whole
+    columns, as many as fit in `budget` elements (default and at most
+    STACK_ELEMENTS) and at least one, so that each detuning falls in one
+    block.  Only a column longer than STACK_ELEMENTS is split, into row
+    ranges of at most STACK_ELEMENTS elements.
     """
-    for r in stack_chunks(rows, cols * elements_each):
-        for c in stack_chunks(cols, (r.stop - r.start) * elements_each):
-            yield r, c
+    if rows * elements_each > STACK_ELEMENTS:
+        for c in range(cols):
+            for r in stack_chunks(rows, elements_each):
+                yield r, slice(c, c + 1)
+    elif rows:  # a grid without rows has no blocks
+        budget = STACK_ELEMENTS if budget is None else min(budget, STACK_ELEMENTS)
+        for c in stack_chunks(cols, rows * elements_each, budget):
+            yield slice(0, rows), c
 
 
 def time_ordered_product(u: np.ndarray) -> np.ndarray:
@@ -270,8 +283,11 @@ def star_propagator(bright, pulse_phases, areas, detunings=0.0,
     two-level train of one-slice pulses is composed in Cayley-Klein form, a
     few elementwise updates per pulse (see :func:`_two_level_train`); any
     other train takes one batched matmul per pulse after the first.  The grid
-    is evaluated in blocks whose stacks stay within STACK_ELEMENTS elements,
-    on one BLAS thread (see linalg.SERIAL_BLAS).
+    is evaluated on one BLAS thread (see linalg.SERIAL_BLAS) in blocks of
+    whole detuning columns within BLOCK_ELEMENTS stack elements (see
+    :func:`grid_chunks`), so each (detuning, slice) generator is decomposed
+    once while its column fits in STACK_ELEMENTS, and the elementwise
+    temporaries of a block stay in cache.
 
     `substeps` must lie in 1..STACK_ELEMENTS whatever the envelope, and the
     longest duration times (max |Delta| + 1) must be finite; both are
@@ -310,7 +326,7 @@ def star_propagator(bright, pulse_phases, areas, detunings=0.0,
     durations = durations.reshape(math.prod(grid[:lead]), dets.size)
     out = np.empty(durations.shape + (dim, dim), dtype=complex)
     with SERIAL_BLAS:
-        for rows, cols in grid_chunks(*durations.shape, count * dim * dim):
+        for rows, cols in grid_chunks(*durations.shape, count * dim * dim, BLOCK_ELEMENTS):
             t, det = durations[rows, cols], dets[cols]
 
             def generators(first, last):

@@ -259,6 +259,42 @@ def test_an_argparse_error_cuts_the_offending_value(capsys, argv):
     assert len(err.encode("utf-8")) < 600
 
 
+#: Flags whose values start with "-", each pair written "--flag value" or "--flag=value".
+NEGATIVE_VALUES = {
+    "scan-2d": ("scan-2d", [("--apoints", "5"), ("--dpoints", "5"), ("--phi", "-pi/3"),
+                            ("--dmin", "-1e-3")]),
+    "scan-area": ("scan-area", [("--points", "5"), ("--phi", "-0.5pi")]),
+    "hr": ("hr", [("--detuning", "-1e-2")]),
+    "plain-numbers": ("scan-2d", [("--apoints", "5"), ("--dpoints", "5"), ("--phi", "-.5"),
+                                  ("--dmin", "-3"), ("--dmax", "-1.5")]),
+}
+
+
+@pytest.mark.parametrize("command, flags", NEGATIVE_VALUES.values(), ids=NEGATIVE_VALUES.keys())
+def test_negative_values_may_follow_their_flag(tmp_path, capsys, command, flags):
+    cfg = tmp_path / "sys.json"
+    write_config(cfg)
+    common = [command] + (["--config", str(cfg)] if command == "hr" else [])
+    outputs = []
+    for form in ("spaced", "joined"):
+        out = tmp_path / f"{form}.out"
+        pairs = flags + [("--out", str(out))]
+        argv = ([part for pair in pairs for part in pair] if form == "spaced"
+                else [f"{flag}={value}" for flag, value in pairs])
+        code, _, err = run(capsys, *common, *argv)
+        assert code == 0, err
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("argv", [["--phi", "-x"], ["-x"], ["--phi", "-"], ["--phi", "-p"]],
+                         ids=["flag-then-unknown", "unknown", "dash", "dash-p"])
+def test_other_dash_tokens_still_exit_2(tmp_path, capsys, argv):
+    code, _, err = run(capsys, "scan-2d", "--out", str(tmp_path / "x.csv"), *argv)
+    assert code == 2
+    assert "Traceback" not in err and not (tmp_path / "x.csv").exists()
+
+
 def test_hr_missing_config_is_io_error(tmp_path, capsys):
     code, _, _ = run(capsys, "hr", "--config", str(tmp_path / "nope.json"))
     assert code == 3

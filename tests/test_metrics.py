@@ -12,6 +12,7 @@ from comphr import (
     AXIS_AREA,
     AXIS_DETUNING,
     HouseholderTarget,
+    NPodSystem,
     ScanAxis,
     ScanGrid,
     ScanResult,
@@ -262,6 +263,13 @@ def test_each_scan_decomposes_each_detuning_once(monkeypatch):
     scan_2d(universal_phases(3, 1), PI, grid_2d(3), system=random_system(3, seed=7, shape=gaussian()),
             substeps=20)
     assert sum(n for n, _ in calls) == 3 * 20
+    calls.clear()
+    # the kernel blocks whole detuning columns, so a shaped map split into
+    # several blocks still decomposes each (detuning, slice) generator once
+    monkeypatch.setattr(two_level, "STACK_ELEMENTS", 4096)
+    scan_2d(universal_phases(3, 1), PI, grid_2d(8), system=NPodSystem((1.0,), (0.0,), gaussian()),
+            substeps=20)
+    assert sum(n for n, _ in calls) == 8 * 20
 
 
 def test_a_row_longer_than_one_chunk_is_split(monkeypatch):

@@ -1,6 +1,7 @@
 """Two-level propagators: conventions, detuned dynamics, shaped pulses."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,12 +11,14 @@ from comphr import two_level
 from comphr import (
     ValidationError,
     expm_hermitian,
+    gate_sequence,
     gaussian,
     rectangular,
     resonant_propagator,
     star_propagator,
     tabulated,
     unitarity_defect,
+    universal_phases,
 )
 
 from comphr.linalg import expm_hermitian_stack
@@ -248,6 +251,45 @@ def test_cayley_klein_train_is_the_same_for_any_block():
     grid = star_propagator((1.0,), phases, areas, dets)
     assert np.array_equal(star_propagator((1.0,), phases, areas[4, 0], dets[17]), grid[4, 17])
     assert np.array_equal(star_propagator((1.0,), phases, areas[2:4], dets[None, :5]), grid[2:4, :5])
+
+
+BLOCK_GRIDS = {
+    "2lvl-rect": ((1.0,), rectangular(), 9, 4001, 1),
+    "4lvl-rect": ((1.0, 2j, 0.5 - 0.3j), rectangular(), 41, 41, 1),
+    "2lvl-gauss": ((1.0,), gaussian(), 21, 21, 50),
+    "4lvl-gauss": ((1.0, 2j, 0.5 - 0.3j), gaussian(), 7, 7, 50),
+}
+
+
+@pytest.mark.parametrize("bright, shape, rows, cols, substeps", BLOCK_GRIDS.values(),
+                         ids=BLOCK_GRIDS.keys())
+def test_output_bits_do_not_depend_on_the_block_budget(monkeypatch, bright, shape, rows, cols,
+                                                       substeps):
+    # 64 elements give one detuning column per block.  STACK_ELEMENTS puts
+    # each grid in one block; the 9 x 4001 one then has operands large
+    # enough for numpy to reuse temporaries as outputs.
+    phases = (0.3, 2.1, -1.0, 0.7)
+    areas = np.linspace(0.0, 2 * PI, rows)[:, None]
+    dets = np.linspace(-3.0, 3.0, cols)
+    grids = []
+    for budget in (64, two_level.BLOCK_ELEMENTS, two_level.STACK_ELEMENTS):
+        monkeypatch.setattr(two_level, "BLOCK_ELEMENTS", budget)
+        grids.append(star_propagator(bright, phases, areas, dets, shape, substeps))
+    assert all(np.array_equal(u, grids[0]) for u in grids[1:])
+
+
+def test_kernel_memory_is_bounded_by_the_block_budget():
+    # a 301 x 301 two-level map holds 362 404 elements, over 11 blocks' worth
+    phases = gate_sequence(universal_phases(5, 2), 2 * PI).pulse_phases
+    areas = np.linspace(0.0, 2 * PI, 301)[:, None]
+    dets = np.linspace(-1.0, 1.0, 301)
+    tracemalloc.start()
+    try:
+        out = star_propagator((1.0,), phases, areas, dets)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= out.nbytes + 8 * 16 * two_level.BLOCK_ELEMENTS
 
 
 BROADCASTS = {
