@@ -1,6 +1,7 @@
 """CLI behaviour: flags, exit codes, file formats, determinism."""
 
 import hashlib
+import importlib
 import json
 import math
 import time
@@ -497,6 +498,77 @@ def test_shortcut_scans_match_the_reference_path(tmp_path, capsys, name):
         reference = reference_scan(families, phi, grid, shortcut).values
         values = rows[:, 1:].T if grid.axis2 is None else rows[:, 2].reshape(reference.shape)
         assert np.max(np.abs(values - reference)) <= 1e-13
+
+
+def matmul_star_propagator(bright, pulse_phases, areas, detunings=0.0, shape=None, substeps=None):
+    """A rectangular (N+1)-level train by the kernel's matmul path, the reference for its digests.
+
+    Each detuning's generator is decomposed once and the exponentials of all
+    areas are rebuilt by expm_hermitian_stack; each pulse is then that
+    phase-0 propagator rescaled to D(p) u D(p)^dagger, D = diag(e^{ip}, ...,
+    e^{ip}, 1), and the train takes one batched matmul per pulse after the
+    first.  The areas are a scalar or a column, the detunings a scalar or a
+    row: the grids that hr and the full-map loop pass.
+    """
+    assert shape is None or shape.kind == "rectangular"
+    coupling = np.asarray(bright, dtype=complex).reshape(-1)
+    coupling = coupling / np.linalg.norm(coupling)
+    n = coupling.size
+    a, d = np.asarray(areas, dtype=float), np.asarray(detunings, dtype=float)
+    grid = np.broadcast_shapes(a.shape, d.shape)
+    dets = d.reshape(-1)
+    h = np.zeros((dets.size, 1, n + 1, n + 1), dtype=complex)
+    h[..., :n, n] = 0.5 * coupling
+    h[..., n, :n] = (0.5 * coupling).conj()
+    h[..., n, n] = dets[:, None]
+    t = np.broadcast_to(a, grid).reshape(-1, dets.size)
+    u0 = expm_hermitian_stack(h, t[..., None])[..., 0, :, :]
+    sign = np.zeros((n + 1, n + 1))
+    sign[:n, n], sign[n, :n] = 1.0, -1.0
+    u = None
+    for p in pulse_phases:
+        pulse = u0 * np.exp(1j * p * sign)
+        u = pulse if u is None else pulse @ u
+    return u.reshape(grid + (n + 1, n + 1))
+
+
+#: The rectangular (N+1)-level runs of GOLDEN_CSV and GOLDEN_HR: (command,
+#: module whose star_propagator the reference replaces, argv).
+FULL_RUNS = {
+    "scan-2d-full": ("scan-2d", "metrics", GOLDEN_CSV[2][0][1:]),
+    "hr-readme": ("hr", "npod", GOLDEN_HR[0][1]),
+}
+
+#: sha256 of what those runs wrote with the matmul reference in the kernel's
+#: place; until the eigenbasis train the CLI wrote the same bytes.
+MATMUL_FULL = {
+    "scan-2d-full": "c0f9c42253bd18a660a9da1b9b1104b9b52d3476c2482807a7d70931d1763161",
+    "hr-readme": "7f679e4ad85063a519f8cea4bb2c20914a9d3afd3f40fb9533285e10806de53c",
+}
+
+
+def full_run_output(tmp_path, capsys, name):
+    """What the run `name` of FULL_RUNS writes: the CSV text of a scan, hr's stdout."""
+    command, _, argv = FULL_RUNS[name]
+    if command == "hr":
+        cfg = tmp_path / "sys.json"
+        write_config(cfg, **HR_CONFIGS["readme"])
+        code, out, err = run(capsys, "hr", "--config", str(cfg), *argv)
+        assert (code, err) == (0, "")
+        return out
+    out = tmp_path / "scan.csv"
+    code, _, _ = run(capsys, command, *argv, "--out", str(out))
+    assert code == 0
+    return out.read_text()
+
+
+@pytest.mark.parametrize("name", MATMUL_FULL)
+def test_matmul_full_path_keeps_the_old_digests(tmp_path, capsys, monkeypatch, name):
+    _, module, _ = FULL_RUNS[name]
+    monkeypatch.setattr(importlib.import_module(f"comphr.{module}"), "star_propagator",
+                        matmul_star_propagator)
+    text = full_run_output(tmp_path, capsys, name)
+    assert hashlib.sha256(text.encode()).hexdigest() == MATMUL_FULL[name]
 
 
 def test_scan_area_bad_n_list(tmp_path, capsys):
