@@ -120,7 +120,7 @@ def expm_hermitian(h, t: float) -> np.ndarray:
         return expm_hermitian_stack(a, t)
 
 
-def expm_hermitian_stack(h: np.ndarray, t) -> np.ndarray:
+def expm_hermitian_stack(h: np.ndarray, t, factors: bool = False):
     """Batched exp(-i*h*t) over the leading axes of h (and of t, broadcast).
 
     The result has shape broadcast(h.shape[:-2], t.shape) + h.shape[-2:].
@@ -131,6 +131,10 @@ def expm_hermitian_stack(h: np.ndarray, t) -> np.ndarray:
     (n x n) matmul, v diag(e^{-iwt}) stacked over the rows times v^dagger,
     not one BLAS call per n x n matrix.  Without such axes the row group
     has one member.
+
+    With `factors` the exponentials are not rebuilt: the result is the pair
+    (v, phase), v the eigenvectors (shape h.shape) and phase = e^{-iwt} of
+    shape h.shape[:-2] + (rows, n), the row group flattened on axis -2.
 
     No validation: callers construct Hermitian stacks.
     """
@@ -145,6 +149,8 @@ def expm_hermitian_stack(h: np.ndarray, t) -> np.ndarray:
     t = t.reshape((count,) + t.shape[extra:])
     t = np.ascontiguousarray(t.transpose(tuple(range(1, t.ndim)) + (0,)))
     phase = np.exp(-1j * t[..., None] * w[..., None, :])
+    if factors:
+        return v, phase
     scaled = v[..., None, :, :] * phase[..., None, :]
     u = scaled.reshape(scaled.shape[:-3] + (count * n, n)) @ v.conj().swapaxes(-1, -2)
     u = u.reshape(u.shape[:-2] + (count, n, n))

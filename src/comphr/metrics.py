@@ -176,7 +176,8 @@ def _infidelity_map(family: PhaseList, hr_phase: float, system: NPodSystem, area
     at most STACK_ELEMENTS propagator elements (see
     :func:`comphr.two_level.grid_chunks`), which bounds the propagators held
     at once; the kernel works through each in smaller blocks of its own and
-    decomposes each detuning once, not once per point (see ``star_propagator``).
+    decomposes each detuning once per block, not once per point (see
+    ``star_propagator``).
     """
     n = system.n_states
     target = householder_matrix(HouseholderTarget(system.bright, hr_phase))

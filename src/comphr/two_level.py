@@ -28,7 +28,16 @@ the unit of frequency):
   pulses is therefore fixed by its first row and the frame phase it has
   accumulated, which is how the kernel composes rectangular two-level
   trains (Cayley-Klein form).  Its generator depends on the detuning
-  alone, so the kernel decomposes each detuning once, whatever the areas.
+  alone, so the kernel decomposes each detuning once for all the areas of
+  a block.
+
+* On N + 1 levels a drive phase p acts through D(p) = diag(e^{ip}, ...,
+  e^{ip}, 1), which is e^{ip} times the identity plus a rank-one term on the
+  ancilla.  A rectangular train is therefore composed in the eigenbasis of
+  its generator: each pulse is one rank-one update and one diagonal phase,
+  with no matrix product per point.  This is exact algebra on the full
+  propagator, with no Morris-Shore reduction and no two-level closed form,
+  so full propagation stays an independent check of the shortcut.
 
 The single pulse above is ``star_propagator((1.0,), (phi,), A, Delta, shape,
 substeps)``, the N = 1 star system, and a rectangular pulse is one slice.
@@ -194,18 +203,21 @@ def stack_chunks(count: int, elements_each: int, budget: int | None = None):
         yield slice(first, min(first + step, count))
 
 
-def grid_chunks(rows: int, cols: int, elements_each: int, budget: int | None = None):
+def grid_chunks(rows: int, cols: int, elements_each: int, budget: int | None = None,
+                column: int | None = None):
     """(row range, column range) blocks over a rows x cols grid of `elements_each`-element items.
 
     The rows are areas and the columns detunings.  Blocks take whole
     columns, as many as fit in `budget` elements (default and at most
     STACK_ELEMENTS) and at least one, so that each detuning falls in one
-    block.  Only a column longer than STACK_ELEMENTS is split, into row
-    ranges of at most STACK_ELEMENTS elements.
+    block.  Only a column longer than `column` elements (default and at most
+    STACK_ELEMENTS) is split, into row ranges of at most that many elements
+    and at least one row.
     """
-    if rows * elements_each > STACK_ELEMENTS:
+    column = STACK_ELEMENTS if column is None else min(column, STACK_ELEMENTS)
+    if rows * elements_each > column:
         for c in range(cols):
-            for r in stack_chunks(rows, elements_each):
+            for r in stack_chunks(rows, elements_each, column):
                 yield r, slice(c, c + 1)
     elif rows:  # a grid without rows has no blocks
         budget = STACK_ELEMENTS if budget is None else min(budget, STACK_ELEMENTS)
@@ -272,22 +284,26 @@ def star_propagator(bright, pulse_phases, areas, detunings=0.0,
     broadcast(areas, detunings) + (N+1, N+1).  The two-level propagator of
     this module's frame is the case bright = [1].
 
-    Every pulse is the product of its midpoint slices by
-    :func:`slice_product`: one slice if rectangular (exact), else `substeps`.
-    A generator depends on the detuning and the envelope, not on the area,
-    so the detunings are decomposed as passed, before they broadcast against
+    A rectangular pulse is one exact exponential; a shaped pulse is the
+    product of its `substeps` midpoint slices by :func:`slice_product`.  A
+    generator depends on the detuning and the envelope, not on the area, so
+    the detunings are decomposed as passed, before they broadcast against
     the areas: one spectral decomposition per detuning and slice (an outer
     grid ``areas[:, None]``, ``detunings[None, :]`` takes one per column and
     slice).  A drive phase p is the diagonal conjugation D u D^dagger with
-    D = diag(e^{ip}, ..., e^{ip}, 1), applied as an elementwise rescale.  A
-    two-level train of one-slice pulses is composed in Cayley-Klein form, a
-    few elementwise updates per pulse (see :func:`_two_level_train`); any
-    other train takes one batched matmul per pulse after the first.  The grid
-    is evaluated on one BLAS thread (see linalg.SERIAL_BLAS) in blocks of
-    whole detuning columns within BLOCK_ELEMENTS stack elements (see
-    :func:`grid_chunks`), so each (detuning, slice) generator is decomposed
-    once while its column fits in STACK_ELEMENTS, and the elementwise
-    temporaries of a block stay in cache.
+    D = diag(e^{ip}, ..., e^{ip}, 1).  A two-level train of rectangular
+    pulses is composed in Cayley-Klein form, a few elementwise updates per
+    pulse (see :func:`_two_level_train`), and an (N+1)-level one in the
+    eigenbasis of each detuning column, one rank-one update per pulse (see
+    :func:`_eigenbasis_train`); a train of shaped pulses takes an elementwise
+    rescale and one batched matmul per pulse after the first.  The grid is
+    evaluated on one BLAS thread (see linalg.SERIAL_BLAS) in blocks of whole
+    detuning columns within BLOCK_ELEMENTS stack elements (see
+    :func:`grid_chunks`), so the elementwise temporaries of a block stay in
+    cache.  A shaped column is split into area ranges only beyond
+    STACK_ELEMENTS, so that each (detuning, slice) generator is decomposed
+    once; a rectangular one beyond BLOCK_ELEMENTS and (N+1)^3 elements, and
+    each range decomposes its one generator again.
 
     `substeps` must lie in 1..STACK_ELEMENTS whatever the envelope, and the
     longest duration times (max |Delta| + 1) must be finite; both are
@@ -326,13 +342,23 @@ def star_propagator(bright, pulse_phases, areas, detunings=0.0,
     durations = durations.reshape(math.prod(grid[:lead]), dets.size)
     out = np.empty(durations.shape + (dim, dim), dtype=complex)
     with SERIAL_BLAS:
-        for rows, cols in grid_chunks(*durations.shape, count * dim * dim, BLOCK_ELEMENTS):
+        # Each area range of a split column decomposes the column's generators
+        # again.  A rectangular column is split into block-sized ranges of at
+        # least `dim` areas, so that the O(dim^3) decomposition stays small
+        # beside the range's train, O(dim^2) per area and pulse; a shaped
+        # column would decompose `count` generators per range.
+        column = max(BLOCK_ELEMENTS, dim ** 3) if count == 1 else None
+        for rows, cols in grid_chunks(*durations.shape, count * dim * dim, BLOCK_ELEMENTS, column):
             t, det = durations[rows, cols], dets[cols]
 
             def generators(first, last):
                 mid = (np.arange(first, last) + 0.5) / count
                 return _star_generators(coupling, shape.envelope(mid), det[:, None])
 
+            if dim > 2 and count == 1:
+                v, phase = expm_hermitian_stack(generators(0, 1)[:, 0], t, factors=True)
+                _eigenbasis_train(v, phase, phases, out[rows, cols])
+                continue
             u = slice_product(generators, count, t[..., None] / count, t.size * dim * dim)
             if dim == 2 and count == 1:
                 # the train needs row 0 only: release the stack before it runs
@@ -373,6 +399,51 @@ def _pulse_train(u0: np.ndarray, phases: tuple[float, ...]) -> np.ndarray:
         pulse = u0 * np.exp(1j * p * sign)
         u = pulse if u is None else pulse @ u
     return u
+
+
+def _eigenbasis_train(v, phase, phases: tuple[float, ...], out: np.ndarray) -> None:
+    """:func:`_pulse_train` of a one-slice pulse, composed in the eigenbasis of its generator.
+
+    `v` (cols, n, n) holds the eigenvectors of each detuning column's
+    generator and `phase` (cols, rows, n) the eigenphases e^{-iwt} of each
+    area, so the pulse at phase 0 is u0 = v L v^dagger, L = diag(phase).
+    With e the ancilla unit vector, D(p) = e^{ip} I + (1 - e^{ip}) e e^T, so
+    v^dagger D(p) v is e^{ip} I plus the rank-one term (1 - e^{ip}) r l,
+    where l = e^T v is the ancilla row of v and r = l^dagger.  The product
+    of the pulses D(p_k) u0 D(p_k)^dagger is e^{-ip_n} D(p_n) v Y_n with
+    Y_1 = L v^dagger diag(1, ..., 1, e^{ip_1}) and
+    Y_k = L (Y_{k-1} + c_k r (l Y_{k-1})),  c_k = e^{i(p_k - p_{k-1})} - 1:
+    per pulse one vector-matrix product and three elementwise passes over
+    preallocated buffers, no matmul per point.  Y is laid out
+    (column, i, area, k), and the product is written into `out`, of shape
+    (rows, cols, n, n).
+
+    Every point takes the same operations whatever block it falls in, so its
+    bits do not depend on the block: l Y is an einsum, which sums over i in
+    order, and v Y one n x n matmul per point.  A BLAS call over a whole
+    column would round a point differently with the column's length and the
+    point's place in it.
+    """
+    cols, rows, n = phase.shape
+    lam = phase.transpose(0, 2, 1)[..., None]
+    ell = v[:, -1:, :]
+    r = v[:, -1, :, None, None].conj()
+    first = v.conj().swapaxes(-1, -2)
+    first[..., -1] *= np.exp(1j * phases[0])
+    # in (column, i, area, k) order, not the order numpy would pick from the
+    # operands' strides, so that `flat` is a view of it
+    y = np.multiply(lam, first[:, :, None, :], out=np.empty((cols, n, rows, n), dtype=complex))
+    flat = y.reshape(cols, n, rows * n)
+    term = np.empty_like(y)
+    ly = np.empty((cols, 1, rows * n), dtype=complex)
+    for before, p in zip(phases, phases[1:]):
+        np.einsum("cxi,cim->cxm", ell, flat, out=ly)
+        np.multiply((np.exp(1j * (p - before)) - 1.0) * r, ly.reshape(cols, 1, rows, n), out=term)
+        y += term
+        y *= lam
+    last = v.copy()
+    last[:, -1, :] *= np.exp(-1j * phases[-1])
+    np.matmul(last[:, None], y.transpose(0, 2, 1, 3), out=out.transpose(1, 0, 2, 3))
 
 
 def _two_level_train(a, b, phase_area, phases: tuple[float, ...], out: np.ndarray) -> None:

@@ -338,14 +338,16 @@ def test_scan_area_deterministic_bytes(tmp_path, capsys):
 #: round some results differently in the last bit.
 #: The two shortcut digests were taken after the shortcut became the N = 1
 #: system of the full-map loop; test_shortcut_scans_match_the_reference_path
-#: ties them to the two older paths.
+#: ties them to the two older paths.  The full-map digest was taken after
+#: rectangular (N+1)-level trains moved to the eigenbasis train;
+#: test_full_runs_match_the_matmul_path ties it to the matmul path.
 GOLDEN_CSV = [
     (["scan-area", "--n", "1,3,5,9", "--phi", "pi/2", "--points", "161"],
      "2b33eeed3efc496ca66a7206e1d66260383bca5fd45bf418e23c3442f107bdc4"),
     (["scan-2d", "--apoints", "11", "--dpoints", "11"],
      "0c29d6c096982d195bff616e7905f0a7566c4af23664f12abcca6b8664cb40c4"),
     (["scan-2d", "--apoints", "11", "--dpoints", "11", "--full", "--N", "3", "--seed", "7"],
-     "c0f9c42253bd18a660a9da1b9b1104b9b52d3476c2482807a7d70931d1763161"),
+     "a004621221a8adbfd171a3b28c7b7b9e93084d23b2068e403244467e6cbee3aa"),
 ]
 
 
@@ -371,10 +373,11 @@ HR_CONFIGS = {
 
 #: sha256 of what hr printed on those configs, taken like GOLDEN_CSV.  The
 #: --dump-config digests pin the normalized document; the others also pin the
-#: realized and target matrices to the last bit.
+#: realized and target matrices to the last bit.  The readme digest was taken
+#: like the full-map digest of GOLDEN_CSV.
 GOLDEN_HR = [
     ("readme", ["--area", "0.9pi"],
-     "7f679e4ad85063a519f8cea4bb2c20914a9d3afd3f40fb9533285e10806de53c"),
+     "5aff783fcc62fcc60a55ffafa5ebf780be824bc5ac22577558d8c3b3fb4fcd34"),
     ("readme", ["--dump-config"],
      "1b48c5d8569194e18ad6cce73cd86012a95b5ad8d2b5ab45c876000811746861"),
     ("gaussian", ["--detuning", "0.3", "--substeps", "200"],
@@ -562,13 +565,34 @@ def full_run_output(tmp_path, capsys, name):
     return out.read_text()
 
 
+def use_matmul_path(monkeypatch, name):
+    """Put the matmul reference in the kernel's place for the run `name` of FULL_RUNS."""
+    module = importlib.import_module(f"comphr.{FULL_RUNS[name][1]}")
+    monkeypatch.setattr(module, "star_propagator", matmul_star_propagator)
+
+
 @pytest.mark.parametrize("name", MATMUL_FULL)
 def test_matmul_full_path_keeps_the_old_digests(tmp_path, capsys, monkeypatch, name):
-    _, module, _ = FULL_RUNS[name]
-    monkeypatch.setattr(importlib.import_module(f"comphr.{module}"), "star_propagator",
-                        matmul_star_propagator)
+    use_matmul_path(monkeypatch, name)
     text = full_run_output(tmp_path, capsys, name)
     assert hashlib.sha256(text.encode()).hexdigest() == MATMUL_FULL[name]
+
+
+def computed_values(text, command):
+    """The computed numbers of a run's output: a map's F column, hr's realized block and infidelity."""
+    if command == "hr":
+        doc = json.loads(text)
+        return np.append(np.ravel(doc["actual"]), doc["infidelity"])
+    return np.loadtxt(text.splitlines()[1:], delimiter=",")[:, 2]
+
+
+@pytest.mark.parametrize("name", FULL_RUNS)
+def test_full_runs_match_the_matmul_path(tmp_path, capsys, monkeypatch, name):
+    command = FULL_RUNS[name][0]
+    values = computed_values(full_run_output(tmp_path, capsys, name), command)
+    use_matmul_path(monkeypatch, name)
+    reference = computed_values(full_run_output(tmp_path, capsys, name), command)
+    assert np.max(np.abs(values - reference)) <= 1e-13
 
 
 def test_scan_area_bad_n_list(tmp_path, capsys):

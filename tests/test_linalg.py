@@ -146,9 +146,9 @@ def test_propagator_kernels_run_on_one_blas_thread(monkeypatch):
     seen = []
     original = linalg.expm_hermitian_stack
 
-    def spy(h, t):
+    def spy(h, t, factors=False):
         seen.append(get())
-        return original(h, t)
+        return original(h, t, factors)
 
     monkeypatch.setattr(two_level, "expm_hermitian_stack", spy)
     monkeypatch.setattr(linalg, "expm_hermitian_stack", spy)

@@ -193,6 +193,17 @@ def test_scan_2d_full_mode_agrees_with_shortcut():
     assert np.max(np.abs(fast.values - full.values)) <= 1e-9
 
 
+@pytest.mark.parametrize("n", [2, 3, 8, 50])
+@pytest.mark.parametrize("family", [universal_phases(5, 2), bb_phases(9)], ids=["u5v2", "bb9"])
+def test_full_maps_agree_with_the_shortcut_to_round_off(family, n):
+    # the grid of the benchmark's full map; the dark states are exact spectators
+    grid = ScanGrid(ScanAxis(AXIS_AREA, 0.0, 2.0, 41), ScanAxis(AXIS_DETUNING, -2.0, 2.0, 41))
+    fast = scan_2d(family, PI, grid).values
+    for seed in range(4):
+        full = scan_2d(family, PI, grid, system=random_system(n, seed=seed)).values
+        assert np.max(np.abs(full - fast)) <= 2e-13
+
+
 def test_scan_2d_with_a_system_propagates_it():
     sys = random_system(3, seed=7, shape=gaussian())
     fam = universal_phases(3, 1)
@@ -234,14 +245,17 @@ def record_stacks(monkeypatch):
     """Route two_level.expm_hermitian_stack through a recorder of the stacks it handles.
 
     Returns the list of (matrices decomposed, elements of the result) per call.
+    A factored call counts the rows * cols * n^2 elements of the pulse
+    train's working block that its eigenphases fill.
     """
     calls = []
     exponential = two_level.expm_hermitian_stack
 
-    def recorded(h, t):
-        u = exponential(h, t)
-        calls.append((math.prod(h.shape[:-2]), u.size))
-        return u
+    def recorded(h, t, factors=False):
+        result = exponential(h, t, factors)
+        size = result[1].size * h.shape[-1] if factors else result.size
+        calls.append((math.prod(h.shape[:-2]), size))
+        return result
 
     monkeypatch.setattr(two_level, "expm_hermitian_stack", recorded)
     return calls

@@ -296,6 +296,48 @@ def test_composite_hr_area_error_values():
     assert infidelity(block, m) == pytest.approx(0.03460826922259022, abs=1e-12)
 
 
+def haar_unitary(n, seed):
+    """A Haar-random U(n): the Q of a complex Gaussian matrix, times the phases of R's diagonal."""
+    rng = np.random.default_rng(seed)
+    q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def reflection_product(u, family, area):
+    """The composite reflections M(v_k, phi_k) of the eigenpairs (e^{i phi_k}, v_k) of u.
+
+    Returns their product and the error of each against its target.
+    """
+    eigenvalues, eigenvectors = np.linalg.eig(u)
+    product, errors = np.eye(len(u)), []
+    for z, v in zip(eigenvalues, eigenvectors.T):
+        phi = float(np.angle(z))
+        sys = NPodSystem(tuple(np.abs(v)), tuple(np.angle(v)))
+        block = composite_hr(sys, family, phi, area)
+        errors.append(infidelity(block, householder_matrix(HouseholderTarget(v, phi))))
+        product = block @ product
+    return product, errors
+
+
+def test_n_composite_reflections_make_any_unitary():
+    # Ivanov, Kyoseva & Vitanov, PRA 74, 022323 (2006): the eigenvectors of
+    # U are orthonormal, so U is the product of the reflections
+    # I + (e^{i phi_k} - 1)|v_k><v_k|.  The realized blocks are contractions
+    # and the targets unitary, so the product's error is at most the sum of
+    # the factors' errors; 1e-12 covers the nominal product.
+    for n in range(2, 9):
+        u = haar_unitary(n, seed=5)
+        nominal, _ = reflection_product(u, universal_phases(5, 2), PI)
+        assert infidelity(nominal, u) <= 1e-12
+        errors = {}
+        for family in (universal_phases(5, 2), bb_phases(1)):
+            product, parts = reflection_product(u, family, 1.02 * PI)
+            errors[family.label] = infidelity(product, u)
+            assert errors[family.label] <= sum(parts) + 1e-12
+        # a 2% area error: the composite beats the single pulse by three orders
+        assert errors["u5v2"] <= 1e-3 * errors["n1"]
+
+
 def test_composite_hr_sign_convention_locked():
     # the nominal gate realizes M(v, +phi); comparing against M(v, -phi) must fail
     sys = random_system(3, seed=23)

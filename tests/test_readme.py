@@ -36,3 +36,17 @@ def test_readme_examples_print_the_stated_values(tmp_path, monkeypatch, capsys):
     assert f"{float(printed[1]):.4f}" == "0.9657"
     assert len(printed) == 2
     assert len((tmp_path / "map.csv").read_text().splitlines()) == 1 + 41 * 41
+
+
+def test_readme_builds_a_unitary_from_composite_reflections(tmp_path, monkeypatch, capsys):
+    # the synthesis lines end the first block; a single pulse in place of
+    # the composite gives the other error the comment states
+    monkeypatch.chdir(tmp_path)
+    block = python_blocks()[0]
+    assert "# 1.2e-7 at 2% area error; bb_phases(1): 3.0e-3" in block
+    errors = []
+    for family in ("universal_phases(5, 2)", "bb_phases(1)"):
+        namespace = {}
+        exec(compile(block.replace("universal_phases(5, 2)", family), str(README), "exec"), namespace)
+        errors.append(f"{namespace['gate_error']:.1e}")
+    assert errors == ["1.2e-07", "3.0e-03"]

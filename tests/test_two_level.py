@@ -10,9 +10,11 @@ import pytest
 from comphr import two_level
 from comphr import (
     ValidationError,
+    bb_phases,
     expm_hermitian,
     gate_sequence,
     gaussian,
+    random_system,
     rectangular,
     resonant_propagator,
     star_propagator,
@@ -23,6 +25,7 @@ from comphr import (
 
 from comphr.linalg import expm_hermitian_stack
 from oracle import rk4_propagator, two_level_hamiltonian
+from test_cli import matmul_star_propagator
 
 PI = np.pi
 
@@ -253,6 +256,37 @@ def test_cayley_klein_train_is_the_same_for_any_block():
     assert np.array_equal(star_propagator((1.0,), phases, areas[2:4], dets[None, :5]), grid[2:4, :5])
 
 
+def test_eigenbasis_train_matches_the_matmul_train():
+    # The bounds of the Cayley-Klein case.  At every detuning the N - 1 dark
+    # eigenvalues are degenerate (all 0), so eigh may return any basis of the
+    # dark space; the train is exact for any eigenbasis.  Delta = 0 and area 0
+    # are among the points.
+    rng = np.random.default_rng(14)
+    for n in range(2, 9):
+        for count in (1, 2, int(rng.integers(3, 21))):
+            bright = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            phases = tuple(rng.uniform(-PI, PI, count))
+            areas = rng.uniform(0.0, 2 * PI, (12, 1))
+            areas[0] = 0.0
+            dets = rng.uniform(-50.0, 50.0, (1, 15))
+            dets[0, 0] = 0.0
+            u = star_propagator(bright, phases, areas, dets)
+            reference = matmul_star_propagator(bright, phases, areas, dets)
+            deviation = np.max(np.abs(u - reference), axis=(-2, -1))
+            assert np.all(deviation <= 1e-13 * (1.0 + np.abs(dets) * areas))
+
+
+@pytest.mark.parametrize("n, areas, dets", [
+    (50, 1.02 * PI, 0.1),
+    (8, np.linspace(0.0, 2 * PI, 41)[:, None], np.linspace(-2.0, 2.0, 41)),
+], ids=["N50-gate", "N8-map"])
+def test_eigenbasis_train_is_unitary(n, areas, dets):
+    phases = gate_sequence(bb_phases(9), PI).pulse_phases
+    u = star_propagator(random_system(n, seed=2).bright, phases, areas, dets)
+    defect = np.linalg.norm(u.conj().swapaxes(-1, -2) @ u - np.eye(n + 1), axis=(-2, -1))
+    assert np.max(defect) <= 1e-12
+
+
 BLOCK_GRIDS = {
     "2lvl-rect": ((1.0,), rectangular(), 9, 4001, 1),
     "4lvl-rect": ((1.0, 2j, 0.5 - 0.3j), rectangular(), 41, 41, 1),
@@ -290,6 +324,24 @@ def test_kernel_memory_is_bounded_by_the_block_budget():
     finally:
         tracemalloc.stop()
     assert peak <= out.nbytes + 8 * 16 * two_level.BLOCK_ELEMENTS
+
+
+@pytest.mark.parametrize("bright, rows", [((1.0,), 1 << 18), ((1.0, 2j, 0.5 - 0.3j), 1 << 16)],
+                         ids=["2lvl", "4lvl"])
+def test_a_long_rectangular_column_is_split_at_the_block_budget(monkeypatch, bright, rows):
+    # one detuning whose column holds 2^20 stack elements, 32 blocks' worth
+    phases = gate_sequence(bb_phases(9), PI).pulse_phases
+    areas = np.linspace(0.0, 2 * PI, rows)
+    tracemalloc.start()
+    try:
+        out = star_propagator(bright, phases, areas, 0.3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= out.nbytes + 8 * 16 * two_level.BLOCK_ELEMENTS
+    # a budget of STACK_ELEMENTS runs the column as one block
+    monkeypatch.setattr(two_level, "BLOCK_ELEMENTS", two_level.STACK_ELEMENTS)
+    assert np.array_equal(star_propagator(bright, phases, areas, 0.3), out)
 
 
 BROADCASTS = {
