@@ -257,10 +257,10 @@ def test_cayley_klein_train_is_the_same_for_any_block():
 
 
 def test_eigenbasis_train_matches_the_matmul_train():
-    # The bounds of the Cayley-Klein case.  At every detuning the N - 1 dark
-    # eigenvalues are degenerate (all 0), so eigh may return any basis of the
-    # dark space; the train is exact for any eigenbasis.  Delta = 0 and area 0
-    # are among the points.
+    # The bound of the Cayley-Klein train's test.  For N >= 3 the N - 1 dark
+    # eigenvalues (all 0) are degenerate at every detuning, so eigh may return
+    # any basis of the dark space; the train is exact for any eigenbasis.
+    # Delta = 0 and area 0 are among the points.
     rng = np.random.default_rng(14)
     for n in range(2, 9):
         for count in (1, 2, int(rng.integers(3, 21))):
