@@ -422,13 +422,13 @@ def reference_shortcut(family, hr_phase, areas, detunings):
 
 
 def kernel_shortcut(family, hr_phase, areas, detunings):
-    """|u00 - e^{i phi}| of the two-level kernel on the whole grid, the reference for its digests.
+    """|u00 - e^{i phi}| of the Cayley-Klein kernel path on the whole grid, the reference for its digests.
 
-    The Cayley-Klein shortcut path: one star_propagator call with bright = [1]
-    on the whole grid, and the bright amplitude against e^{i phi} by np.abs.
+    One cayley_klein_star_propagator call on the whole grid, and the bright
+    amplitude against e^{i phi} by np.abs.
     """
     phases = gate_sequence(family, 2.0 * hr_phase).pulse_phases
-    u = star_propagator((1.0,), phases, areas, detunings)
+    u = cayley_klein_star_propagator((1.0,), phases, areas, detunings)
     return np.abs(u[..., 0, 0] - np.exp(1j * hr_phase))
 
 
@@ -503,17 +503,16 @@ def test_shortcut_scans_match_the_reference_path(tmp_path, capsys, name):
         assert np.max(np.abs(values - reference)) <= 1e-13
 
 
-def matmul_star_propagator(bright, pulse_phases, areas, detunings=0.0, shape=None, substeps=None):
-    """A rectangular (N+1)-level train by the kernel's matmul path, the reference for its digests.
+def rebuilt_pulses(bright, areas, detunings):
+    """The phase-0 rectangular pulse at every grid point, rebuilt from one decomposition per detuning.
 
     Each detuning's generator is decomposed once and the exponentials of all
-    areas are rebuilt by expm_hermitian_stack; each pulse is then that
-    phase-0 propagator rescaled to D(p) u D(p)^dagger, D = diag(e^{ip}, ...,
-    e^{ip}, 1), and the train takes one batched matmul per pulse after the
-    first.  The areas are a scalar or a column, the detunings a scalar or a
-    row: the grids that hr and the full-map loop pass.
+    areas are rebuilt by expm_hermitian_stack, as the kernel did before its
+    trains started from the eigen-factors.  The areas are a scalar or a
+    column, the detunings a scalar or a row: the grids that hr and the scan
+    loop pass.  Returns the pulses (rows, cols, n+1, n+1), the grid shape,
+    and the durations (rows, cols) and detunings (cols,) of the pulses.
     """
-    assert shape is None or shape.kind == "rectangular"
     coupling = np.asarray(bright, dtype=complex).reshape(-1)
     coupling = coupling / np.linalg.norm(coupling)
     n = coupling.size
@@ -525,7 +524,19 @@ def matmul_star_propagator(bright, pulse_phases, areas, detunings=0.0, shape=Non
     h[..., n, :n] = (0.5 * coupling).conj()
     h[..., n, n] = dets[:, None]
     t = np.broadcast_to(a, grid).reshape(-1, dets.size)
-    u0 = expm_hermitian_stack(h, t[..., None])[..., 0, :, :]
+    return expm_hermitian_stack(h, t[..., None])[..., 0, :, :], grid, t, dets
+
+
+def matmul_star_propagator(bright, pulse_phases, areas, detunings=0.0, shape=None, substeps=None):
+    """A rectangular (N+1)-level train by the kernel's matmul path, the reference for its digests.
+
+    Each pulse is the rebuilt phase-0 propagator (see rebuilt_pulses)
+    rescaled to D(p) u D(p)^dagger, D = diag(e^{ip}, ..., e^{ip}, 1), and
+    the train takes one batched matmul per pulse after the first.
+    """
+    assert shape is None or shape.kind == "rectangular"
+    u0, grid, _, _ = rebuilt_pulses(bright, areas, detunings)
+    n = u0.shape[-1] - 1
     sign = np.zeros((n + 1, n + 1))
     sign[:n, n], sign[n, :n] = 1.0, -1.0
     u = None
@@ -533,6 +544,39 @@ def matmul_star_propagator(bright, pulse_phases, areas, detunings=0.0, shape=Non
         pulse = u0 * np.exp(1j * p * sign)
         u = pulse if u is None else pulse @ u
     return u.reshape(grid + (n + 1, n + 1))
+
+
+def cayley_klein_star_propagator(bright, pulse_phases, areas, detunings=0.0, shape=None,
+                                 substeps=None):
+    """A rectangular two-level train by the kernel's rebuild path, the reference for its digests.
+
+    The train runs on row 0 (a, b) of the rebuilt phase-0 propagator (see
+    rebuilt_pulses) in Cayley-Klein form.  A product of k pulses is fixed by
+    its row 0 (x, y) and its frame g = e^{-i k Delta T}, its row 1 being
+    (-g conj(y), g conj(x)); each pulse, with q = b e^{ip}, maps row 0 to
+    (a x - q g conj(y), a y + q g conj(x)).  Every product takes named
+    operands and writes a new array, as the kernel's loop did: numpy rounds
+    a complex product into a large temporary operand, which it reuses,
+    differently.
+    """
+    assert shape is None or shape.kind == "rectangular"
+    u0, grid, t, dets = rebuilt_pulses(bright, areas, detunings)
+    assert u0.shape[-1] == 2
+    a, b = u0[..., 0, 0].copy(), u0[..., 0, 1].copy()
+    step = np.exp(-1j * (dets * t))
+    x, y, g = a, b * np.exp(1j * pulse_phases[0]), step
+    for p in pulse_phases[1:]:
+        qg = b * np.exp(1j * p)
+        qg = qg * g
+        xc, yc = x.conj(), y.conj()
+        x = a * x - qg * yc
+        y = a * y + qg * xc
+        g = g * step
+    xc, yc = x.conj(), y.conj()
+    u = np.empty(a.shape + (2, 2), dtype=complex)
+    u[..., 0, 0], u[..., 0, 1] = x, y
+    u[..., 1, 0], u[..., 1, 1] = -(g * yc), g * xc
+    return u.reshape(grid + (2, 2))
 
 
 #: The rectangular (N+1)-level runs of GOLDEN_CSV and GOLDEN_HR: (command,
@@ -593,6 +637,25 @@ def test_full_runs_match_the_matmul_path(tmp_path, capsys, monkeypatch, name):
     use_matmul_path(monkeypatch, name)
     reference = computed_values(full_run_output(tmp_path, capsys, name), command)
     assert np.max(np.abs(values - reference)) <= 1e-13
+
+
+#: sha256 of what the shortcut runs of GOLDEN_CSV wrote with the Cayley-Klein
+#: reference in the kernel's place; until one-slice pulses of every N started
+#: from the eigen-factors the CLI wrote the same bytes.
+CAYLEY_KLEIN_CSV = {
+    "scan-area": "2b33eeed3efc496ca66a7206e1d66260383bca5fd45bf418e23c3442f107bdc4",
+    "scan-2d": "0c29d6c096982d195bff616e7905f0a7566c4af23664f12abcca6b8664cb40c4",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CAYLEY_KLEIN_CSV))
+def test_cayley_klein_shortcut_path_keeps_the_old_digests(tmp_path, capsys, monkeypatch, name):
+    monkeypatch.setattr(importlib.import_module("comphr.metrics"), "star_propagator",
+                        cayley_klein_star_propagator)
+    out = tmp_path / "scan.csv"
+    code, _, _ = run(capsys, *SHORTCUT_SCANS[name][0], "--out", str(out))
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == CAYLEY_KLEIN_CSV[name]
 
 
 def test_scan_area_bad_n_list(tmp_path, capsys):
