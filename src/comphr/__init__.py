@@ -45,7 +45,6 @@ from .two_level import (
     PulseShape,
     gaussian,
     rectangular,
-    resonant_propagator,
     star_propagator,
     tabulated,
 )
@@ -82,7 +81,6 @@ __all__ = [
     "pulse_propagator",
     "random_system",
     "rectangular",
-    "resonant_propagator",
     "scan_2d",
     "scan_area",
     "sequence_propagator",

@@ -172,12 +172,12 @@ def _infidelity_map(family: PhaseList, hr_phase: float, system: NPodSystem, area
                     substeps: int = DEFAULT_SUBSTEPS) -> np.ndarray:
     """Infidelity of the system's manifold block at every (area, detuning) pair.
 
-    The grid is passed to the kernel in blocks of whole detuning columns of
-    at most STACK_ELEMENTS propagator elements (see
-    :func:`comphr.two_level.grid_chunks`), which bounds the propagators held
-    at once; the kernel works through each in smaller blocks of its own and
-    decomposes each detuning once per block, not once per point (see
-    ``star_propagator``).
+    The grid is passed to the kernel in the kernel's own blocks: whole
+    detuning columns of at most BLOCK_ELEMENTS propagator elements (see
+    :func:`comphr.two_level.grid_chunks`).  The propagators of one block and
+    the temporaries of their distances are all the scan holds besides its
+    result, and the kernel decomposes each detuning of a block once, not
+    once per point (see ``star_propagator``).
     """
     n = system.n_states
     target = householder_matrix(HouseholderTarget(system.bright, hr_phase))

@@ -29,7 +29,8 @@ the unit of frequency):
   accumulated, which is how the kernel composes rectangular two-level
   trains (Cayley-Klein form).  Its generator depends on the detuning
   alone, so the kernel decomposes each detuning once for all the areas of
-  a block.
+  a block, and every train of one-slice pulses starts from those
+  eigen-factors without rebuilding the exponentials.
 
 * On N + 1 levels a drive phase p acts through D(p) = diag(e^{ip}, ...,
   e^{ip}, 1), which is e^{ip} times the identity plus a rank-one term on the
@@ -41,8 +42,7 @@ the unit of frequency):
 
 The single pulse above is ``star_propagator((1.0,), (phi,), A, Delta, shape,
 substeps)``, the N = 1 star system, and a rectangular pulse is one slice.
-:func:`star_propagator` computes every propagator of the package except two:
-:func:`resonant_propagator`, the closed form that tests compare against, and
+:func:`star_propagator` computes every propagator of the package except one:
 the single rectangular pulse of :func:`comphr.npod.pulse_propagator`.
 """
 
@@ -169,15 +169,6 @@ class Propagator2:
         object.__setattr__(self, "u", a)
 
 
-def resonant_propagator(area: float, phase: float = 0.0) -> Propagator2:
-    """Exact resonant propagator of a pulse of the given area; shape-independent."""
-    if not np.isfinite(area) or area < 0.0:
-        raise ValidationError("area must be finite and >= 0")
-    a = math.cos(0.5 * area)
-    b = -1j * np.exp(1j * phase) * math.sin(0.5 * area)
-    return Propagator2(np.array([[a, b], [-np.conj(b), np.conj(a)]]))
-
-
 # ---------------------------------------------------------------------------
 # Batched propagation kernel
 
@@ -186,8 +177,9 @@ def resonant_propagator(area: float, phase: float = 0.0) -> Propagator2:
 #: flat whatever grid or number of substeps is asked for.
 STACK_ELEMENTS = 1 << 20
 
-#: Elements of the grid blocks the kernel works in (512 KB of complex128):
-#: small enough that a block's elementwise temporaries stay in cache.
+#: Elements of the grid blocks the kernel and the scans work in (512 KB of
+#: complex128): small enough that a block's elementwise temporaries stay in
+#: cache.
 BLOCK_ELEMENTS = 1 << 15
 
 
@@ -203,14 +195,13 @@ def stack_chunks(count: int, elements_each: int, budget: int | None = None):
         yield slice(first, min(first + step, count))
 
 
-def grid_chunks(rows: int, cols: int, elements_each: int, budget: int | None = None,
-                column: int | None = None):
+def grid_chunks(rows: int, cols: int, elements_each: int, column: int | None = None):
     """(row range, column range) blocks over a rows x cols grid of `elements_each`-element items.
 
     The rows are areas and the columns detunings.  Blocks take whole
-    columns, as many as fit in `budget` elements (default and at most
-    STACK_ELEMENTS) and at least one, so that each detuning falls in one
-    block.  Only a column longer than `column` elements (default and at most
+    columns, as many as fit in BLOCK_ELEMENTS (at most STACK_ELEMENTS)
+    elements and at least one, so that each detuning falls in one block.
+    Only a column longer than `column` elements (default and at most
     STACK_ELEMENTS) is split, into row ranges of at most that many elements
     and at least one row.
     """
@@ -220,8 +211,7 @@ def grid_chunks(rows: int, cols: int, elements_each: int, budget: int | None = N
             for r in stack_chunks(rows, elements_each, column):
                 yield r, slice(c, c + 1)
     elif rows:  # a grid without rows has no blocks
-        budget = STACK_ELEMENTS if budget is None else min(budget, STACK_ELEMENTS)
-        for c in stack_chunks(cols, rows * elements_each, budget):
+        for c in stack_chunks(cols, rows * elements_each, min(BLOCK_ELEMENTS, STACK_ELEMENTS)):
             yield slice(0, rows), c
 
 
@@ -251,20 +241,18 @@ def slice_product(generators, count: int, dt, elements_per_slice: int) -> np.nda
     are exponentiated in groups within STACK_ELEMENTS elements, each group is
     multiplied by :func:`time_ordered_product`, and the groups in time order.
 
-    A product of several slices then takes one Newton-Schulz step towards its
-    polar factor, u (3 - u^dagger u) / 2.  Slices that share an eigenbasis
-    (all slices of a resonant pulse do) share the round-off of their
-    eigenvectors, which adds up coherently to a unitarity defect near 5e-13
-    per 1000 slices.  The step removes that defect to first order and moves
-    the result by no more than the defect itself.  One slice (a rectangular
-    pulse) is one spectral exponential, unitary to round-off, and takes none.
+    The product then takes one Newton-Schulz step towards its polar factor,
+    u (3 - u^dagger u) / 2.  Slices that share an eigenbasis (all slices of a
+    resonant pulse do) share the round-off of their eigenvectors, which adds
+    up coherently to a unitarity defect near 5e-13 per 1000 slices.  The step
+    removes that defect to first order and moves the result by no more than
+    the defect itself.  Only pulses of two or more slices come here: the
+    kernel reads a one-slice pulse from its eigen-factors.
     """
     u = None
     for part in stack_chunks(count, elements_per_slice):
         group = time_ordered_product(expm_hermitian_stack(generators(part.start, part.stop), dt))
         u = group if u is None else group @ u
-    if count == 1:
-        return u
     eye = np.eye(u.shape[-1])
     return u @ (1.5 * eye - 0.5 * (u.conj().swapaxes(-1, -2) @ u))
 
@@ -284,25 +272,28 @@ def star_propagator(bright, pulse_phases, areas, detunings=0.0,
     broadcast(areas, detunings) + (N+1, N+1).  The two-level propagator of
     this module's frame is the case bright = [1].
 
-    A rectangular pulse is one exact exponential; a shaped pulse is the
-    product of its `substeps` midpoint slices by :func:`slice_product`.  A
-    generator depends on the detuning and the envelope, not on the area, so
-    the detunings are decomposed as passed, before they broadcast against
-    the areas: one spectral decomposition per detuning and slice (an outer
-    grid ``areas[:, None]``, ``detunings[None, :]`` takes one per column and
+    A pulse is one slice if it is rectangular or `substeps` is 1, else the
+    product of its `substeps` midpoint slices.  A generator depends on the
+    detuning and the envelope, not on the area, so the detunings are
+    decomposed as passed, before they broadcast against the areas: one
+    spectral decomposition per detuning and slice (an outer grid
+    ``areas[:, None]``, ``detunings[None, :]`` takes one per column and
     slice).  A drive phase p is the diagonal conjugation D u D^dagger with
-    D = diag(e^{ip}, ..., e^{ip}, 1).  A two-level train of rectangular
-    pulses is composed in Cayley-Klein form, a few elementwise updates per
-    pulse (see :func:`_two_level_train`), and an (N+1)-level one in the
-    eigenbasis of each detuning column, one rank-one update per pulse (see
-    :func:`_eigenbasis_train`); a train of shaped pulses takes an elementwise
-    rescale and one batched matmul per pulse after the first.  The grid is
-    evaluated on one BLAS thread (see linalg.SERIAL_BLAS) in blocks of whole
-    detuning columns within BLOCK_ELEMENTS stack elements (see
-    :func:`grid_chunks`), so the elementwise temporaries of a block stay in
-    cache.  A shaped column is split into area ranges only beyond
+    D = diag(e^{ip}, ..., e^{ip}, 1).  A train of one-slice pulses starts
+    from the eigen-factors of each detuning column and never rebuilds the
+    exponentials: on two levels it is composed in Cayley-Klein form from
+    row 0 of those factors, a few elementwise updates per pulse (see
+    :func:`_two_level_train`), and on N + 1 levels in the eigenbasis, one
+    rank-one update per pulse (see :func:`_eigenbasis_train`).  A pulse of
+    several slices is multiplied out by :func:`slice_product`, and its train
+    takes an elementwise rescale and one batched matmul per pulse after the
+    first.  The grid is evaluated on one BLAS thread (see
+    linalg.SERIAL_BLAS) in blocks of whole detuning columns within
+    BLOCK_ELEMENTS stack elements (see :func:`grid_chunks`), so the
+    elementwise temporaries of a block stay in cache.  A column of
+    several-slice pulses is split into area ranges only beyond
     STACK_ELEMENTS, so that each (detuning, slice) generator is decomposed
-    once; a rectangular one beyond BLOCK_ELEMENTS and (N+1)^3 elements, and
+    once; a one-slice one beyond BLOCK_ELEMENTS and (N+1)^3 elements, and
     each range decomposes its one generator again.
 
     `substeps` must lie in 1..STACK_ELEMENTS whatever the envelope, and the
@@ -348,25 +339,22 @@ def star_propagator(bright, pulse_phases, areas, detunings=0.0,
         # beside the range's train, O(dim^2) per area and pulse; a shaped
         # column would decompose `count` generators per range.
         column = max(BLOCK_ELEMENTS, dim ** 3) if count == 1 else None
-        for rows, cols in grid_chunks(*durations.shape, count * dim * dim, BLOCK_ELEMENTS, column):
+        for rows, cols in grid_chunks(*durations.shape, count * dim * dim, column):
             t, det = durations[rows, cols], dets[cols]
 
             def generators(first, last):
                 mid = (np.arange(first, last) + 0.5) / count
                 return _star_generators(coupling, shape.envelope(mid), det[:, None])
 
-            if dim > 2 and count == 1:
-                v, phase = expm_hermitian_stack(generators(0, 1)[:, 0], t, factors=True)
-                _eigenbasis_train(v, phase, phases, out[rows, cols])
-                continue
-            u = slice_product(generators, count, t[..., None] / count, t.size * dim * dim)
-            if dim == 2 and count == 1:
-                # the train needs row 0 only: release the stack before it runs
-                a0, b0 = u[..., 0, 0].copy(), u[..., 0, 1].copy()
-                del u
-                _two_level_train(a0, b0, det * t, phases, out[rows, cols])
-            else:
+            if count > 1:
+                u = slice_product(generators, count, t[..., None] / count, t.size * dim * dim)
                 out[rows, cols] = _pulse_train(u, phases)
+                continue
+            v, phase = expm_hermitian_stack(generators(0, 1)[:, 0], t, factors=True)
+            if dim == 2:
+                _two_level_train(v, phase, det * t, phases, out[rows, cols])
+            else:
+                _eigenbasis_train(v, phase, phases, out[rows, cols])
     return out.reshape(grid + (dim, dim))
 
 
@@ -446,18 +434,28 @@ def _eigenbasis_train(v, phase, phases: tuple[float, ...], out: np.ndarray) -> N
     np.matmul(last[:, None], y.transpose(0, 2, 1, 3), out=out.transpose(1, 0, 2, 3))
 
 
-def _two_level_train(a, b, phase_area, phases: tuple[float, ...], out: np.ndarray) -> None:
+def _two_level_train(v, phase, phase_area, phases: tuple[float, ...], out: np.ndarray) -> None:
     """:func:`_pulse_train` of a one-slice two-level pulse by elementwise Cayley-Klein updates.
 
-    `a` and `b` are u0[..., 0, 0] and u0[..., 0, 1] of the pulse at phase 0,
-    and `phase_area` is Delta T.  The generator has trace Delta, so
-    u0 = f S with S in SU(2) and the frame f = e^{-i Delta T / 2}.  A product
-    of k pulses is then f^k times an SU(2) matrix, fixed by its row 0 (x, y)
-    and the frame g = f^{2k} = e^{-i k Delta T}: its row 1 is
-    (-g conj(y), g conj(x)).  Each pulse, with q = b e^{ip}, maps row 0 to
-    (a x - q g conj(y), a y + q g conj(x)) and g to g e^{-i Delta T}.  The
-    product is written into `out`, of shape a.shape + (2, 2).
+    `v` (cols, 2, 2) and `phase` (cols, rows, 2) are the eigen-factors of
+    :func:`_eigenbasis_train`, and `phase_area` (rows, cols) is Delta T.  Row
+    0 of the pulse at phase 0, u0 = v diag(phase) v^dagger, is
+    a = |v00|^2 phase_0 + |v01|^2 phase_1 and
+    b = v00 conj(v10) phase_0 + v01 conj(v11) phase_1.  The generator has
+    trace Delta, so u0 = f S with S in SU(2) and the frame
+    f = e^{-i Delta T / 2}.  A product of k pulses is then f^k times an SU(2)
+    matrix, fixed by its row 0 (x, y) and the frame g = f^{2k} =
+    e^{-i k Delta T}: its row 1 is (-g conj(y), g conj(x)).  Each pulse, with
+    q = b e^{ip}, maps row 0 to (a x - q g conj(y), a y + q g conj(x)) and g
+    to g e^{-i Delta T}.  The product is written into `out`, of shape
+    (rows, cols, 2, 2).
     """
+    top, bottom = v[:, 0, :, None], v[:, 1, :, None]
+    weight, cross = (top * top.conj()).real, top * bottom.conj()
+    # the sums come in (cols, rows) order; copied into the grid's (rows, cols)
+    # order, every operand of the loop below shares one contiguous layout
+    a = (weight[:, 0] * phase[..., 0] + weight[:, 1] * phase[..., 1]).T.copy()
+    b = (cross[:, 0] * phase[..., 0] + cross[:, 1] * phase[..., 1]).T.copy()
     # Every product takes named operands and writes a new array.  numpy rounds
     # a complex product worked in place (or into a large temporary operand,
     # which it reuses) differently, so the bits would depend on the block size.

@@ -336,16 +336,16 @@ def test_scan_area_deterministic_bytes(tmp_path, capsys):
 #: formatting, changes the digest.  All three digests fail with
 #: OPENBLAS_CORETYPE=Haswell, Sandybridge or Prescott: other BLAS kernels
 #: round some results differently in the last bit.
-#: The two shortcut digests were taken after the shortcut became the N = 1
-#: system of the full-map loop; test_shortcut_scans_match_the_reference_path
+#: The two shortcut digests were taken after the one-slice pulses of every N
+#: started from the eigen-factors; test_shortcut_scans_match_the_reference_path
 #: ties them to the two older paths.  The full-map digest was taken after
 #: rectangular (N+1)-level trains moved to the eigenbasis train;
 #: test_full_runs_match_the_matmul_path ties it to the matmul path.
 GOLDEN_CSV = [
     (["scan-area", "--n", "1,3,5,9", "--phi", "pi/2", "--points", "161"],
-     "2b33eeed3efc496ca66a7206e1d66260383bca5fd45bf418e23c3442f107bdc4"),
+     "5858d9747016941c2b437f9e0804becde2f02eb3cb866e023b1094113cdd55f3"),
     (["scan-2d", "--apoints", "11", "--dpoints", "11"],
-     "0c29d6c096982d195bff616e7905f0a7566c4af23664f12abcca6b8664cb40c4"),
+     "212964d8f76e56e7cc7d86275e7c9ed69d5168a6164c49b537d9c3681ed0317a"),
     (["scan-2d", "--apoints", "11", "--dpoints", "11", "--full", "--N", "3", "--seed", "7"],
      "a004621221a8adbfd171a3b28c7b7b9e93084d23b2068e403244467e6cbee3aa"),
 ]
@@ -422,7 +422,7 @@ def reference_shortcut(family, hr_phase, areas, detunings):
 
 
 def kernel_shortcut(family, hr_phase, areas, detunings):
-    """|u00 - e^{i phi}| of the Cayley-Klein kernel path on the whole grid, the reference for its digests.
+    """|u00 - e^{i phi}| of the Cayley-Klein rebuild path on the whole grid, a digest reference.
 
     One cayley_klein_star_propagator call on the whole grid, and the bright
     amplitude against e^{i phi} by np.abs.
@@ -504,7 +504,7 @@ def test_shortcut_scans_match_the_reference_path(tmp_path, capsys, name):
 
 
 def rebuilt_pulses(bright, areas, detunings):
-    """The phase-0 rectangular pulse at every grid point, rebuilt from one decomposition per detuning.
+    """The phase-0 rectangular pulse at every grid point, rebuilt from one decomposition per column.
 
     Each detuning's generator is decomposed once and the exponentials of all
     areas are rebuilt by expm_hermitian_stack, as the kernel did before its

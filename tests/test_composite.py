@@ -16,7 +16,6 @@ from comphr import (
     expm_hermitian,
     gate_sequence,
     gaussian,
-    resonant_propagator,
     sequence_propagator,
     star_propagator,
     tabulated,
@@ -27,6 +26,7 @@ from comphr.cli import _config_doc, _parse_config
 from comphr.composite import MAX_ORDER
 
 from oracle import two_level_hamiltonian
+from test_two_level import resonant_propagator
 
 PI = np.pi
 

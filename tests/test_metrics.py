@@ -232,21 +232,24 @@ def test_full_scan_memory_is_bounded_by_the_stack_chunk(monkeypatch):
     grid = ScanGrid(ScanAxis(AXIS_AREA, 0.5, 1.5, 15), ScanAxis(AXIS_DETUNING, -1.0, 1.0, 15))
     fam = universal_phases(5, 2)
     chunk = 1 << 16
-    assert 15 * 15 * 51 ** 2 >= 8 * chunk  # the unchunked stack holds >= 8 chunks
+    # the grid's whole propagator stack, which the scan never holds, fills over 8 chunks
+    stack_bytes = 16 * 15 * 15 * 51 ** 2
     whole, whole_peak = traced_peak(lambda: scan_2d(fam, PI, grid, system=system))
+    # by default the scan holds one kernel block besides its result
+    assert whole_peak <= whole.values.nbytes + 8 * 16 * two_level.BLOCK_ELEMENTS
     monkeypatch.setattr(two_level, "STACK_ELEMENTS", chunk)
     chunked, chunked_peak = traced_peak(lambda: scan_2d(fam, PI, grid, system=system))
     chunk_bytes = 16 * chunk
-    assert chunked_peak <= 8 * chunk_bytes < whole_peak
+    assert chunked_peak <= 8 * chunk_bytes < stack_bytes
     assert np.max(np.abs(chunked.values - whole.values)) <= 1e-13
 
 
 def record_stacks(monkeypatch):
     """Route two_level.expm_hermitian_stack through a recorder of the stacks it handles.
 
-    Returns the list of (matrices decomposed, elements of the result) per call.
-    A factored call counts the rows * cols * n^2 elements of the pulse
-    train's working block that its eigenphases fill.
+    Returns the list of (matrices decomposed, elements of the result,
+    factors flag) per call.  A factored call counts the rows * cols * n^2
+    elements of the pulse train's working block that its eigenphases fill.
     """
     calls = []
     exponential = two_level.expm_hermitian_stack
@@ -254,7 +257,7 @@ def record_stacks(monkeypatch):
     def recorded(h, t, factors=False):
         result = exponential(h, t, factors)
         size = result[1].size * h.shape[-1] if factors else result.size
-        calls.append((math.prod(h.shape[:-2]), size))
+        calls.append((math.prod(h.shape[:-2]), size, factors))
         return result
 
     monkeypatch.setattr(two_level, "expm_hermitian_stack", recorded)
@@ -262,28 +265,35 @@ def record_stacks(monkeypatch):
 
 
 def test_each_scan_decomposes_each_detuning_once(monkeypatch):
+    # Rectangular pulses are read from the eigen-factors of their one slice;
+    # shaped pulses rebuild the exponentials of their slices.
     calls = record_stacks(monkeypatch)
     scan_2d(universal_phases(5, 2), PI, grid_2d(301))
-    assert sum(n for n, _ in calls) == 301
+    assert sum(n for n, _, _ in calls) == 301
+    assert all(factors for _, _, factors in calls)
     calls.clear()
     scan_area([bb_phases(n) for n in (1, 3, 5, 9)], PI / 2, area_grid(161))
-    assert [n for n, _ in calls] == [1] * 4
+    assert [n for n, _, _ in calls] == [1] * 4
+    assert all(factors for _, _, factors in calls)
     calls.clear()
     grid = ScanGrid(ScanAxis(AXIS_AREA, 0.5, 1.5, 41), ScanAxis(AXIS_DETUNING, -1.0, 1.0, 41))
     scan_2d(universal_phases(5, 2), PI, grid, system=random_system(3, seed=7))
-    assert sum(n for n, _ in calls) == 41
+    assert sum(n for n, _, _ in calls) == 41
+    assert all(factors for _, _, factors in calls)
     calls.clear()
     # a shaped pulse decomposes each detuning once per slice
     scan_2d(universal_phases(3, 1), PI, grid_2d(3), system=random_system(3, seed=7, shape=gaussian()),
             substeps=20)
-    assert sum(n for n, _ in calls) == 3 * 20
+    assert sum(n for n, _, _ in calls) == 3 * 20
+    assert not any(factors for _, _, factors in calls)
     calls.clear()
     # the kernel blocks whole detuning columns, so a shaped map split into
     # several blocks still decomposes each (detuning, slice) generator once
     monkeypatch.setattr(two_level, "STACK_ELEMENTS", 4096)
     scan_2d(universal_phases(3, 1), PI, grid_2d(8), system=NPodSystem((1.0,), (0.0,), gaussian()),
             substeps=20)
-    assert sum(n for n, _ in calls) == 8 * 20
+    assert sum(n for n, _, _ in calls) == 8 * 20
+    assert not any(factors for _, _, factors in calls)
 
 
 def test_a_row_longer_than_one_chunk_is_split(monkeypatch):
@@ -297,14 +307,14 @@ def test_a_row_longer_than_one_chunk_is_split(monkeypatch):
     monkeypatch.setattr(two_level, "STACK_ELEMENTS", chunk)
     calls = record_stacks(monkeypatch)
     chunked, chunked_peak = traced_peak(lambda: scan_2d(fam, PI, grid, system=system))
-    assert max(size for _, size in calls) <= chunk
+    assert max(size for _, size, _ in calls) <= chunk
     # the result and the detuning axis, and at most 8 chunk-sized stacks besides
     held = chunked.values.nbytes + grid.axis2.values().nbytes
     assert chunked_peak <= held + 8 * 16 * chunk < whole_peak
     assert np.array_equal(chunked.values, whole.values)
     calls.clear()
     assert np.array_equal(scan_2d(fam, PI, grid).values, fast.values)
-    assert max(size for _, size in calls) <= chunk
+    assert max(size for _, size, _ in calls) <= chunk
 
 
 def test_scan_2d_validation():

@@ -9,6 +9,7 @@ import pytest
 
 from comphr import two_level
 from comphr import (
+    Propagator2,
     ValidationError,
     bb_phases,
     expm_hermitian,
@@ -16,7 +17,6 @@ from comphr import (
     gaussian,
     random_system,
     rectangular,
-    resonant_propagator,
     star_propagator,
     tabulated,
     unitarity_defect,
@@ -32,6 +32,19 @@ PI = np.pi
 # Frozen from the RK4 oracle (test_detuned_propagator_vs_rk4 recomputes it);
 # equals (1/sqrt(2))*sin(sqrt(2)*pi/2).
 B_MAG_DETUNED = 0.5626400585724002
+
+
+def resonant_propagator(area, phase=0.0):
+    """Exact resonant propagator of a pulse of the given area, the closed form tests compare against.
+
+    a = cos(A/2) and b = -i e^{i phase} sin(A/2) in the Cayley-Klein form
+    [[a, b], [-conj(b), conj(a)]], whatever the envelope.
+    """
+    if not np.isfinite(area) or area < 0.0:
+        raise ValidationError("area must be finite and >= 0")
+    a = math.cos(0.5 * area)
+    b = -1j * np.exp(1j * phase) * math.sin(0.5 * area)
+    return Propagator2(np.array([[a, b], [-np.conj(b), np.conj(a)]]))
 
 
 def pulse(area, detuning=0.0, phase=0.0, shape=rectangular(), substeps=1000):
