@@ -19,7 +19,6 @@ from comphr import (
     bb_phases,
     composite_phase_gate,
     gate_sequence,
-    star_propagator,
     universal_phases,
 )
 from comphr.cli import main, parse_angle
