@@ -7,8 +7,10 @@ detuning whose relative phases are the control parameters.  Shipped families:
   excitation profile is flat in pulse area around the nominal point, with
   flatness order growing with n.
 * ``universal``: tabulated symmetric phase lists for n = 3, 5, 7 (two
-  solutions each for n = 5 and 7) that compensate small systematic errors in
-  any field parameter simultaneously.
+  solutions each for n = 5 and 7) that compensate small systematic area
+  errors.  No family removes the frame phase e^{-i Delta T/2} of a gate of
+  duration T: every reflection keeps a first-order error |Delta| T/2, and with
+  that phase taken out only u5 and u7 reach round-off (at |Delta| <= 1e-3).
 
 A phase gate diag(e^{i alpha/2}, e^{-i alpha/2}) is produced by running a
 composite pulse twice: first with its native phases phi_k, then with every

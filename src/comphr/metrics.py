@@ -172,10 +172,11 @@ def _infidelity_map(family: PhaseList, hr_phase: float, system: NPodSystem, area
                     substeps: int = DEFAULT_SUBSTEPS) -> np.ndarray:
     """Infidelity of the system's manifold block at every (area, detuning) pair.
 
-    The grid is passed to the kernel in the kernel's own blocks: whole
-    detuning columns of at most BLOCK_ELEMENTS propagator elements (see
-    :func:`comphr.two_level.grid_chunks`).  The propagators of one block and
-    the temporaries of their distances are all the scan holds besides its
+    The grid is passed to the kernel in the kernel's own blocks for one
+    slice on N + 1 levels (see :func:`comphr.two_level.grid_chunks`): whole
+    detuning columns of at most BLOCK_ELEMENTS propagator elements, and a
+    long column in area ranges.  The propagators of one block and the
+    temporaries of their distances are all the scan holds besides its
     result, and the kernel decomposes each detuning of a block once, not
     once per point (see ``star_propagator``).
     """
@@ -183,7 +184,7 @@ def _infidelity_map(family: PhaseList, hr_phase: float, system: NPodSystem, area
     target = householder_matrix(HouseholderTarget(system.bright, hr_phase))
     phases = gate_sequence(family, 2.0 * hr_phase).pulse_phases
     values = np.empty((areas.size, dets.size))
-    for rows, cols in grid_chunks(areas.size, dets.size, (n + 1) ** 2):
+    for rows, cols in grid_chunks(areas.size, dets.size, n + 1, 1):
         u = star_propagator(system.bright, phases, areas[rows, None], dets[None, cols],
                             system.shape, substeps)
         values[rows, cols] = np.linalg.norm(u[..., :n, :n] - target, axis=(-2, -1))

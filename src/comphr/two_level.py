@@ -195,23 +195,28 @@ def stack_chunks(count: int, elements_each: int, budget: int | None = None):
         yield slice(first, min(first + step, count))
 
 
-def grid_chunks(rows: int, cols: int, elements_each: int, column: int | None = None):
-    """(row range, column range) blocks over a rows x cols grid of `elements_each`-element items.
+def grid_chunks(rows: int, cols: int, dim: int, count: int):
+    """(row range, column range) blocks over a rows x cols grid of pulses on `dim` levels.
 
-    The rows are areas and the columns detunings.  Blocks take whole
-    columns, as many as fit in BLOCK_ELEMENTS (at most STACK_ELEMENTS)
-    elements and at least one, so that each detuning falls in one block.
-    Only a column longer than `column` elements (default and at most
-    STACK_ELEMENTS) is split, into row ranges of at most that many elements
-    and at least one row.
+    The rows are areas and the columns detunings, and a point's pulse of
+    `count` slices holds count * dim^2 elements.  Blocks take whole columns,
+    as many as fit in BLOCK_ELEMENTS (at most STACK_ELEMENTS) elements and
+    at least one, so that each detuning falls in one block.  Each row range
+    of a split column decomposes the column's generators again, so only a
+    long column is split: a one-slice column beyond BLOCK_ELEMENTS and
+    dim^3 elements, so that its O(dim^3) decomposition stays small beside
+    the range's train, and a column of several slices, which decomposes
+    `count` generators per range, beyond STACK_ELEMENTS.  Both cuts are
+    capped at STACK_ELEMENTS, and a range holds at least one row.
     """
-    column = STACK_ELEMENTS if column is None else min(column, STACK_ELEMENTS)
-    if rows * elements_each > column:
+    each = count * dim * dim
+    column = min(max(BLOCK_ELEMENTS, dim ** 3) if count == 1 else STACK_ELEMENTS, STACK_ELEMENTS)
+    if rows * each > column:
         for c in range(cols):
-            for r in stack_chunks(rows, elements_each, column):
+            for r in stack_chunks(rows, each, column):
                 yield r, slice(c, c + 1)
     elif rows:  # a grid without rows has no blocks
-        for c in stack_chunks(cols, rows * elements_each, min(BLOCK_ELEMENTS, STACK_ELEMENTS)):
+        for c in stack_chunks(cols, rows * each, min(BLOCK_ELEMENTS, STACK_ELEMENTS)):
             yield slice(0, rows), c
 
 
@@ -288,13 +293,11 @@ def star_propagator(bright, pulse_phases, areas, detunings=0.0,
     several slices is multiplied out by :func:`slice_product`, and its train
     takes an elementwise rescale and one batched matmul per pulse after the
     first.  The grid is evaluated on one BLAS thread (see
-    linalg.SERIAL_BLAS) in blocks of whole detuning columns within
-    BLOCK_ELEMENTS stack elements (see :func:`grid_chunks`), so the
-    elementwise temporaries of a block stay in cache.  A column of
-    several-slice pulses is split into area ranges only beyond
-    STACK_ELEMENTS, so that each (detuning, slice) generator is decomposed
-    once; a one-slice one beyond BLOCK_ELEMENTS and (N+1)^3 elements, and
-    each range decomposes its one generator again.
+    linalg.SERIAL_BLAS) in the blocks :func:`grid_chunks` derives from N
+    and the slice count: whole detuning columns within BLOCK_ELEMENTS stack
+    elements, so the elementwise temporaries of a block stay in cache, and
+    area ranges of a long column, each of which decomposes the column's
+    generators again.
 
     `substeps` must lie in 1..STACK_ELEMENTS whatever the envelope, and the
     longest duration times (max |Delta| + 1) must be finite; both are
@@ -333,13 +336,7 @@ def star_propagator(bright, pulse_phases, areas, detunings=0.0,
     durations = durations.reshape(math.prod(grid[:lead]), dets.size)
     out = np.empty(durations.shape + (dim, dim), dtype=complex)
     with SERIAL_BLAS:
-        # Each area range of a split column decomposes the column's generators
-        # again.  A rectangular column is split into block-sized ranges of at
-        # least `dim` areas, so that the O(dim^3) decomposition stays small
-        # beside the range's train, O(dim^2) per area and pulse; a shaped
-        # column would decompose `count` generators per range.
-        column = max(BLOCK_ELEMENTS, dim ** 3) if count == 1 else None
-        for rows, cols in grid_chunks(*durations.shape, count * dim * dim, column):
+        for rows, cols in grid_chunks(*durations.shape, dim, count):
             t, det = durations[rows, cols], dets[cols]
 
             def generators(first, last):

@@ -226,6 +226,31 @@ def test_gate_accepts_detuning():
     assert np.max(np.abs(g.u - expected)) <= 1e-13
 
 
+@pytest.mark.parametrize("fam", ALL_FAMILIES, ids=[f.label for f in ALL_FAMILIES])
+def test_every_reflection_keeps_a_first_order_detuning_error(fam):
+    # The 2n pulses of area pi last T = 2n pi, and their frame phase
+    # e^{-i Delta T/2} is a pulse pair's determinant, which no drive phase
+    # changes: |u00 - e^{i phi}| is |Delta| T/2 to first order, for every family.
+    duration = 2 * fam.n * PI
+    for phi in (PI, PI / 2):
+        seq = gate_sequence(fam, 2 * phi)
+        for detuning in (1e-4, -1e-4):
+            error = abs(sequence_propagator(seq, PI, detuning).u[0, 0] - np.exp(1j * phi))
+            assert error == pytest.approx(abs(detuning) * duration / 2, rel=1e-3)
+
+
+@pytest.mark.parametrize("fam", ALL_FAMILIES[-4:], ids=[f.label for f in ALL_FAMILIES[-4:]])
+def test_u5_and_u7_reflections_are_exact_up_to_the_frame_phase(fam):
+    # With the frame phase taken out, the u5 and u7 reflections keep no
+    # first-order detuning error (the bb and u3 ones keep over 1e-6 at 1e-3)
+    duration = 2 * fam.n * PI
+    for phi in (PI, PI / 2):
+        seq = gate_sequence(fam, 2 * phi)
+        for detuning in (1e-3, -1e-3, 1e-4, -1e-4):
+            u00 = sequence_propagator(seq, PI, detuning).u[0, 0]
+            assert abs(u00 * np.exp(0.5j * detuning * duration) - np.exp(1j * phi)) <= 1e-12
+
+
 def test_shaped_gate_on_resonance_is_unitary():
     # All slices of a resonant pulse share one eigenbasis, so their round-off
     # adds up coherently over 2n x 1000 slices; uncorrected, the gate's

@@ -231,7 +231,10 @@ def test_full_scan_memory_is_bounded_by_the_stack_chunk(monkeypatch):
     system = random_system(50, seed=4)
     grid = ScanGrid(ScanAxis(AXIS_AREA, 0.5, 1.5, 15), ScanAxis(AXIS_DETUNING, -1.0, 1.0, 15))
     fam = universal_phases(5, 2)
-    chunk = 1 << 16
+    # below BLOCK_ELEMENTS, so the chunk and not the block bounds the run:
+    # a 51-level column of 15 areas is split into ranges of 3 areas
+    chunk = 1 << 13
+    assert chunk < two_level.BLOCK_ELEMENTS
     # the grid's whole propagator stack, which the scan never holds, fills over 8 chunks
     stack_bytes = 16 * 15 * 15 * 51 ** 2
     whole, whole_peak = traced_peak(lambda: scan_2d(fam, PI, grid, system=system))
@@ -241,7 +244,22 @@ def test_full_scan_memory_is_bounded_by_the_stack_chunk(monkeypatch):
     chunked, chunked_peak = traced_peak(lambda: scan_2d(fam, PI, grid, system=system))
     chunk_bytes = 16 * chunk
     assert chunked_peak <= 8 * chunk_bytes < stack_bytes
-    assert np.max(np.abs(chunked.values - whole.values)) <= 1e-13
+    assert chunked_peak < whole_peak
+    assert np.array_equal(chunked.values, whole.values)
+
+
+def test_a_long_scan_holds_one_kernel_block_besides_its_result():
+    # each grid holds 2^20 propagator elements, 32 blocks' worth: 2^18 areas
+    # of one two-level column, and 2^16 areas of two 4-level columns
+    area = area_grid(1 << 18)
+    full = ScanGrid(ScanAxis(AXIS_AREA, 0.0, 2.0, 1 << 16), ScanAxis(AXIS_DETUNING, -1.0, 1.0, 2))
+    system = random_system(3, seed=1)
+    for grid, run in ((area, lambda: scan_area([bb_phases(9)], PI, area)),
+                      (full, lambda: scan_2d(bb_phases(9), PI, full, system=system))):
+        result, peak = traced_peak(run)
+        # the result and the areas, and at most 8 block-sized stacks besides
+        held = result.values.nbytes + grid.axis1.values().nbytes
+        assert peak <= held + 8 * 16 * two_level.BLOCK_ELEMENTS
 
 
 def record_stacks(monkeypatch):
