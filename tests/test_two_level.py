@@ -466,3 +466,77 @@ def test_slice_product_matches_sequential_product(monkeypatch, substeps, stack_e
     for k in range(1, substeps):
         expected = expm_hermitian(h[k], dt) @ expected
     assert np.max(np.abs(u - expected)) <= 1e-13
+
+
+def matmul_shaped_star_propagator(bright, pulse_phases, areas, detunings, shape, substeps):
+    """A shaped train by the kernel's slice-product path, the reference for its shaped outputs.
+
+    Every midpoint slice of each detuning is decomposed and its
+    exponentials rebuilt for all the areas (expm_hermitian_stack); the
+    slices are multiplied by time_ordered_product in groups of at most
+    STACK_ELEMENTS elements, the groups in time order, and the product takes
+    one Newton-Schulz step, u (3 - u^dagger u) / 2.  The train rescales that
+    pulse to D(p) u D(p)^dagger, D = diag(e^{ip}, ..., e^{ip}, 1), and takes
+    one batched matmul per pulse after the first.  The areas are a scalar or
+    a column, the detunings a scalar or a row.
+    """
+    coupling = np.asarray(bright, dtype=complex).reshape(-1)
+    coupling = coupling / np.linalg.norm(coupling)
+    n = coupling.size
+    a, d = np.asarray(areas, dtype=float), np.asarray(detunings, dtype=float)
+    grid = np.broadcast_shapes(a.shape, d.shape)
+    dets = d.reshape(-1)
+    t = np.broadcast_to(a / shape.unit_integral(), grid).reshape(-1, dets.size)
+    half = 0.5 * np.multiply.outer(shape.envelope((np.arange(substeps) + 0.5) / substeps), coupling)
+    h = np.zeros((dets.size, substeps, n + 1, n + 1), dtype=complex)
+    h[..., :n, n], h[..., n, :n], h[..., n, n] = half, half.conj(), dets[:, None]
+    u = None
+    for part in two_level.stack_chunks(substeps, t.size * (n + 1) ** 2):
+        group = two_level.time_ordered_product(expm_hermitian_stack(h[:, part], t[..., None] / substeps))
+        u = group if u is None else group @ u
+    u0 = u @ (1.5 * np.eye(n + 1) - 0.5 * (u.conj().swapaxes(-1, -2) @ u))
+    sign = np.zeros((n + 1, n + 1))
+    sign[:n, n], sign[n, :n] = 1.0, -1.0
+    u = None
+    for p in pulse_phases:
+        pulse = u0 * np.exp(1j * p * sign)
+        u = pulse if u is None else pulse @ u
+    return u.reshape(grid + (n + 1, n + 1))
+
+
+#: Envelopes of the shaped reference tests: the benchmark's tabulated sin^2
+#: (11 samples), and a ramp whose first half is exactly 0, where a slice at
+#: Delta = 0 has no generator at all.
+SIN2 = tabulated([(k / 10, math.sin(PI * k / 10) ** 2) for k in range(11)])
+REFERENCE_SHAPES = {
+    "gaussian": gaussian(),
+    "sin2": SIN2,
+    "triangle": tabulated([(0.0, 0.0), (0.5, 1.0), (1.0, 0.0)]),
+    "zero-then-ramp": tabulated([(0.0, 0.0), (0.5, 0.0), (1.0, 1.0)]),
+}
+
+
+@pytest.mark.parametrize("substeps", [2, 3, 7, 50, 1000])
+@pytest.mark.parametrize("shape", REFERENCE_SHAPES.values(), ids=REFERENCE_SHAPES.keys())
+def test_two_level_shaped_trains_match_the_slice_product_reference(shape, substeps):
+    # odd slice counts fold a slice into the last pair of the product
+    phases = gate_sequence(universal_phases(5, 2), PI).pulse_phases
+    areas = np.array([[0.0], [3 * PI]])
+    dets = np.array([0.0, 0.3, -0.3, 2.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        u = star_propagator((1.0,), phases, areas, dets, shape, substeps)
+    reference = matmul_shaped_star_propagator((1.0,), phases, areas, dets, shape, substeps)
+    assert np.max(np.abs(u - reference)) <= 1e-13
+
+
+@pytest.mark.parametrize("shape", [gaussian(), SIN2], ids=["gaussian", "sin2"])
+def test_shaped_gates_on_n_levels_equal_the_slice_product_reference(shape):
+    # every slice of the reference is decomposed on its own; the kernel's
+    # bits must not move whatever it shares between equal slices
+    bright = random_system(3, seed=11).bright
+    phases = gate_sequence(bb_phases(5), 2 * PI).pulse_phases
+    for area, detuning in ((0.9 * PI, 0.1), (1.1 * PI, -0.2)):
+        u = star_propagator(bright, phases, area, detuning, shape, 1000)
+        reference = matmul_shaped_star_propagator(bright, phases, area, detuning, shape, 1000)
+        assert np.array_equal(u, reference)
