@@ -7,8 +7,10 @@ detuning whose relative phases are the control parameters.  Shipped families:
   excitation profile is flat in pulse area around the nominal point, with
   flatness order growing with n.
 * ``universal``: tabulated symmetric phase lists for n = 3, 5, 7 (two
-  solutions each for n = 5 and 7) that compensate small systematic area
-  errors.  No family removes the frame phase e^{-i Delta T/2} of a gate of
+  solutions each for n = 5 and 7).  The u5 and u7 lists compensate small
+  systematic area errors to third order; the shipped u3 list (0, 1/2, 0)
+  compensates none, its gate error being that of a single pulse.  No
+  family removes the frame phase e^{-i Delta T/2} of a gate of
   duration T: every reflection keeps a first-order error |Delta| T/2, and with
   that phase taken out only u5 and u7 reach round-off (at |Delta| <= 1e-3).
 

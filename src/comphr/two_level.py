@@ -32,6 +32,12 @@ the unit of frequency):
   a block, and every train of one-slice pulses starts from those
   eigen-factors without rebuilding the exponentials.
 
+* A midpoint slice of a shaped two-level pulse is a rectangular pulse of
+  Rabi frequency f, the envelope sample, so the kernel multiplies the
+  slices in Cayley-Klein form from their closed form and decomposes no
+  generator.  On N + 1 > 2 levels each distinct (detuning, envelope
+  sample) pair of a block is decomposed once.
+
 * On N + 1 levels a drive phase p acts through D(p) = diag(e^{ip}, ...,
   e^{ip}, 1), which is e^{ip} times the identity plus a rank-one term on the
   ancilla.  A rectangular train is therefore composed in the eigenbasis of
@@ -237,26 +243,33 @@ def time_ordered_product(u: np.ndarray) -> np.ndarray:
     return u[..., 0, :, :]
 
 
-def slice_product(generators, count: int, dt, elements_per_slice: int) -> np.ndarray:
-    """Time-ordered product exp(-i h_{m-1} dt) ... exp(-i h_0 dt) of `count` slices.
+def slice_product(generators, samples, dt, elements_per_slice: int) -> np.ndarray:
+    """Time-ordered product exp(-i h_{m-1} dt) ... exp(-i h_0 dt) of the slices of `samples`.
 
-    `generators(first, last)` returns the generators of slices first..last-1
-    stacked on axis -3; leading axes broadcast against `dt`, and
-    `elements_per_slice` is the size of one slice over those axes.  Slices
-    are exponentiated in groups within STACK_ELEMENTS elements, each group is
-    multiplied by :func:`time_ordered_product`, and the groups in time order.
+    Slice k has the envelope sample samples[k], and `generators(values)`
+    returns the generators of the sample values `values` stacked on axis -3;
+    leading axes broadcast against `dt`, and `elements_per_slice` is the
+    size of one slice over those axes.  Slices are exponentiated in groups
+    within STACK_ELEMENTS elements, each group is multiplied by
+    :func:`time_ordered_product`, and the groups in time order.  A group
+    decomposes only its distinct samples (np.unique) and gathers the slices
+    from their exponentials: equal samples have equal generators and so
+    equal exponentials, bit for bit.
 
     The product then takes one Newton-Schulz step towards its polar factor,
     u (3 - u^dagger u) / 2.  Slices that share an eigenbasis (all slices of a
     resonant pulse do) share the round-off of their eigenvectors, which adds
     up coherently to a unitarity defect near 5e-13 per 1000 slices.  The step
     removes that defect to first order and moves the result by no more than
-    the defect itself.  Only pulses of two or more slices come here: the
-    kernel reads a one-slice pulse from its eigen-factors.
+    the defect itself.  Only pulses of two or more slices on N + 1 > 2
+    levels come here: the kernel reads a one-slice pulse from its
+    eigen-factors and multiplies out a two-level pulse in closed form.
     """
     u = None
-    for part in stack_chunks(count, elements_per_slice):
-        group = time_ordered_product(expm_hermitian_stack(generators(part.start, part.stop), dt))
+    for part in stack_chunks(len(samples), elements_per_slice):
+        values, index = np.unique(samples[part], return_inverse=True)
+        slices = np.take(expm_hermitian_stack(generators(values), dt), index, axis=-3)
+        group = time_ordered_product(slices)
         u = group if u is None else group @ u
     eye = np.eye(u.shape[-1])
     return u @ (1.5 * eye - 0.5 * (u.conj().swapaxes(-1, -2) @ u))
@@ -279,20 +292,25 @@ def star_propagator(bright, pulse_phases, areas, detunings=0.0,
 
     A pulse is one slice if it is rectangular or `substeps` is 1, else the
     product of its `substeps` midpoint slices.  A generator depends on the
-    detuning and the envelope, not on the area, so the detunings are
+    detuning and the envelope sample, not on the area, so the detunings are
     decomposed as passed, before they broadcast against the areas: one
-    spectral decomposition per detuning and slice (an outer grid
+    spectral decomposition per detuning and distinct sample (an outer grid
     ``areas[:, None]``, ``detunings[None, :]`` takes one per column and
-    slice).  A drive phase p is the diagonal conjugation D u D^dagger with
+    sample).  A drive phase p is the diagonal conjugation D u D^dagger with
     D = diag(e^{ip}, ..., e^{ip}, 1).  A train of one-slice pulses starts
     from the eigen-factors of each detuning column and never rebuilds the
     exponentials: on two levels it is composed in Cayley-Klein form from
     row 0 of those factors, a few elementwise updates per pulse (see
     :func:`_two_level_train`), and on N + 1 levels in the eigenbasis, one
-    rank-one update per pulse (see :func:`_eigenbasis_train`).  A pulse of
-    several slices is multiplied out by :func:`slice_product`, and its train
-    takes an elementwise rescale and one batched matmul per pulse after the
-    first.  The grid is evaluated on one BLAS thread (see
+    rank-one update per pulse (see :func:`_eigenbasis_train`).  A two-level
+    pulse of several slices decomposes nothing: its slices have a closed
+    form and are multiplied out in Cayley-Klein form (see
+    :func:`_two_level_slices`), its train takes the same elementwise
+    updates, and the product is rescaled to a unit row 0.  On N + 1 > 2
+    levels a pulse of several slices is multiplied out by
+    :func:`slice_product`, and its train takes an elementwise rescale and
+    one batched matmul per pulse after the first; no two-level closed form
+    enters there.  The grid is evaluated on one BLAS thread (see
     linalg.SERIAL_BLAS) in the blocks :func:`grid_chunks` derives from N
     and the slice count: whole detuning columns within BLOCK_ELEMENTS stack
     elements, so the elementwise temporaries of a block stay in cache, and
@@ -334,24 +352,28 @@ def star_propagator(bright, pulse_phases, areas, detunings=0.0,
     dets = np.broadcast_to(d.reshape(d_axes[lead:]), grid[lead:]).reshape(-1)
     durations = np.broadcast_to(a / shape.unit_integral(), grid)
     durations = durations.reshape(math.prod(grid[:lead]), dets.size)
+    envelope = shape.envelope((np.arange(count) + 0.5) / count)
     out = np.empty(durations.shape + (dim, dim), dtype=complex)
     with SERIAL_BLAS:
         for rows, cols in grid_chunks(*durations.shape, dim, count):
             t, det = durations[rows, cols], dets[cols]
-
-            def generators(first, last):
-                mid = (np.arange(first, last) + 0.5) / count
-                return _star_generators(coupling, shape.envelope(mid), det[:, None])
-
-            if count > 1:
-                u = slice_product(generators, count, t[..., None] / count, t.size * dim * dim)
-                out[rows, cols] = _pulse_train(u, phases)
-                continue
-            v, phase = expm_hermitian_stack(generators(0, 1)[:, 0], t, factors=True)
-            if dim == 2:
-                _two_level_train(v, phase, det * t, phases, out[rows, cols])
+            if count == 1:
+                h = _star_generators(coupling, envelope, det[:, None])[:, 0]
+                v, phase = expm_hermitian_stack(h, t, factors=True)
+                if dim == 2:
+                    _two_level_train(*_eigen_row(v, phase), det * t, phases, out[rows, cols])
+                else:
+                    _eigenbasis_train(v, phase, phases, out[rows, cols])
+            elif dim == 2:
+                block = out[rows, cols]
+                _two_level_train(*_two_level_slices(envelope, det, t), det * t, phases, block)
+                # the train adds its round-off to the slices'; a second rescale
+                # to a unit row 0 keeps the product unitary to round-off
+                block /= np.linalg.norm(block[..., 0, :], axis=-1)[..., None, None]
             else:
-                _eigenbasis_train(v, phase, phases, out[rows, cols])
+                u = slice_product(lambda values: _star_generators(coupling, values, det[:, None]),
+                                  envelope, t[..., None] / count, t.size * dim * dim)
+                out[rows, cols] = _pulse_train(u, phases)
     return out.reshape(grid + (dim, dim))
 
 
@@ -431,14 +453,68 @@ def _eigenbasis_train(v, phase, phases: tuple[float, ...], out: np.ndarray) -> N
     np.matmul(last[:, None], y.transpose(0, 2, 1, 3), out=out.transpose(1, 0, 2, 3))
 
 
-def _two_level_train(v, phase, phase_area, phases: tuple[float, ...], out: np.ndarray) -> None:
-    """:func:`_pulse_train` of a one-slice two-level pulse by elementwise Cayley-Klein updates.
+def _eigen_row(v, phase):
+    """Row 0 (a, b), each (rows, cols), of the one-slice two-level pulses v diag(phase) v^dagger.
 
     `v` (cols, 2, 2) and `phase` (cols, rows, 2) are the eigen-factors of
-    :func:`_eigenbasis_train`, and `phase_area` (rows, cols) is Delta T.  Row
-    0 of the pulse at phase 0, u0 = v diag(phase) v^dagger, is
-    a = |v00|^2 phase_0 + |v01|^2 phase_1 and
-    b = v00 conj(v10) phase_0 + v01 conj(v11) phase_1.  The generator has
+    :func:`_eigenbasis_train`: a = |v00|^2 phase_0 + |v01|^2 phase_1 and
+    b = v00 conj(v10) phase_0 + v01 conj(v11) phase_1.
+    """
+    top, bottom = v[:, 0, :, None], v[:, 1, :, None]
+    weight, cross = (top * top.conj()).real, top * bottom.conj()
+    # the sums come in (cols, rows) order; copied into the grid's (rows, cols)
+    # order, every operand of the train shares one contiguous layout
+    a = (weight[:, 0] * phase[..., 0] + weight[:, 1] * phase[..., 1]).T.copy()
+    b = (cross[:, 0] * phase[..., 0] + cross[:, 1] * phase[..., 1]).T.copy()
+    return a, b
+
+
+def _two_level_slices(envelope, det, t):
+    """Row 0 (a, b), each (rows, cols), of two-level pulses of len(envelope) midpoint slices.
+
+    `envelope` holds the slice samples f_k, `det` (cols,) the detunings and
+    `t` (rows, cols) the durations, so a slice lasts dt = t / len(envelope).
+    Slice k is e^{-i Delta dt/2} times the SU(2) matrix of row 0
+    (cos(w_k dt) + i Delta s_k, -i f_k s_k), where w_k = sqrt(f_k^2 +
+    Delta^2)/2 and s_k = sin(w_k dt)/(2 w_k) = (dt/2) sinc(w_k dt/pi), which
+    stays finite at w_k = 0.  The SU(2) parts are multiplied in Cayley-Klein
+    form by pairwise tree reduction over the slice axis, as
+    :func:`time_ordered_product` does with matrices: a later (x2, y2) acting
+    on (x1, y1) gives (x2 x1 - y2 conj(y1), x2 y1 + y2 conj(x1)).  The product
+    is rescaled to |x|^2 + |y|^2 = 1, which takes out the round-off of its
+    slices, and the frames multiply out to e^{-i Delta t/2}.
+    """
+    dt = t[..., None] / envelope.size
+    angle = 0.5 * np.hypot(envelope, det[:, None]) * dt
+    s = 0.5 * dt * np.sinc(angle / np.pi)
+    x, y = np.cos(angle) + 1j * (det[:, None] * s), -1j * (envelope * s)
+    del angle, s
+    # Every product takes named operands and writes a new array, as in
+    # _two_level_train, so a point's bits do not depend on its block.
+    while x.shape[-1] > 1:
+        count = x.shape[-1]
+        even = count - count % 2
+        x1, y1, x2, y2 = x[..., 0:even:2], y[..., 0:even:2], x[..., 1:even:2], y[..., 1:even:2]
+        x1c, y1c = x1.conj(), y1.conj()
+        px, py = x2 * x1 - y2 * y1c, x2 * y1 + y2 * x1c
+        del x1c, y1c
+        if count % 2:  # the odd slice out acts after the last pair
+            lx, ly = x[..., -1], y[..., -1]
+            ox, oy = px[..., -1], py[..., -1]
+            oxc, oyc = ox.conj(), oy.conj()
+            px[..., -1], py[..., -1] = lx * ox - ly * oyc, lx * oy + ly * oxc
+        x, y = px, py
+    x, y = x[..., 0], y[..., 0]
+    frame = np.exp(-0.5j * (det * t)) / np.hypot(np.abs(x), np.abs(y))
+    return x * frame, y * frame
+
+
+def _two_level_train(a, b, phase_area, phases: tuple[float, ...], out: np.ndarray) -> None:
+    """:func:`_pulse_train` of a two-level pulse by elementwise Cayley-Klein updates.
+
+    `a` and `b` (rows, cols) are row 0 of the pulse at phase 0, u0 (from
+    :func:`_eigen_row` for one slice, :func:`_two_level_slices` for
+    several), and `phase_area` (rows, cols) is Delta T.  The generator has
     trace Delta, so u0 = f S with S in SU(2) and the frame
     f = e^{-i Delta T / 2}.  A product of k pulses is then f^k times an SU(2)
     matrix, fixed by its row 0 (x, y) and the frame g = f^{2k} =
@@ -447,12 +523,6 @@ def _two_level_train(v, phase, phase_area, phases: tuple[float, ...], out: np.nd
     to g e^{-i Delta T}.  The product is written into `out`, of shape
     (rows, cols, 2, 2).
     """
-    top, bottom = v[:, 0, :, None], v[:, 1, :, None]
-    weight, cross = (top * top.conj()).real, top * bottom.conj()
-    # the sums come in (cols, rows) order; copied into the grid's (rows, cols)
-    # order, every operand of the loop below shares one contiguous layout
-    a = (weight[:, 0] * phase[..., 0] + weight[:, 1] * phase[..., 1]).T.copy()
-    b = (cross[:, 0] * phase[..., 0] + cross[:, 1] * phase[..., 1]).T.copy()
     # Every product takes named operands and writes a new array.  numpy rounds
     # a complex product worked in place (or into a large temporary operand,
     # which it reuses) differently, so the bits would depend on the block size.

@@ -251,12 +251,46 @@ def test_u5_and_u7_reflections_are_exact_up_to_the_frame_phase(fam):
             assert abs(u00 * np.exp(0.5j * detuning * duration) - np.exp(1j * phi)) <= 1e-12
 
 
+#: Fitted orders of the 2x2 gate error along the pulse area.  The bb list
+#: of n pulses reaches order n; the shipped u3 list (0, 1/2, 0) pi reaches
+#: none, and u5 and u7 reach the third order.
+AREA_ORDERS = {"n1": 1, "n3": 3, "n5": 5, "u3v1": 1, "u5v1": 3, "u5v2": 3, "u7v1": 3, "u7v2": 3}
+ORDER_FAMILIES = [bb_phases(n) for n in (1, 3, 5)] + [universal_phases(n, v) for n, v in
+                                                        ((3, 1), (5, 1), (5, 2), (7, 1), (7, 2))]
+
+
+def area_error(fam, alpha, eps, shape=None):
+    """Frobenius distance of the gate at area pi (1 + eps) from the gate at area pi, on resonance."""
+    seq = gate_sequence(fam, alpha)
+    shape = {} if shape is None else {"shape": shape, "substeps": 1000}
+    nominal = sequence_propagator(seq, PI, 0.0, **shape).u
+    return np.linalg.norm(sequence_propagator(seq, PI * (1.0 + eps), 0.0, **shape).u - nominal)
+
+
+@pytest.mark.parametrize("shape", [None, gaussian()], ids=["rectangular", "gaussian"])
+@pytest.mark.parametrize("fam", ORDER_FAMILIES, ids=[f.label for f in ORDER_FAMILIES])
+def test_area_compensation_orders(fam, shape):
+    # order = log2(err(2e-2) / err(1e-2)); on resonance a shaped pulse
+    # depends on its area alone, so the Gaussian reaches the same orders
+    for alpha in (PI / 2, PI, 2 * PI):
+        order = math.log2(area_error(fam, alpha, 2e-2, shape) / area_error(fam, alpha, 1e-2, shape))
+        assert order == pytest.approx(AREA_ORDERS[fam.label], abs=0.3)
+
+
+def test_the_u3_list_compensates_no_area_error():
+    # the gate error of u3v1 is that of the single uncompensated pulse
+    for alpha in (PI / 2, PI, 2 * PI):
+        u3, n1 = (area_error(fam, alpha, 1e-3) for fam in (universal_phases(3, 1), bb_phases(1)))
+        assert u3 == pytest.approx(n1, rel=1e-3)
+
+
 def test_shaped_gate_on_resonance_is_unitary():
-    # All slices of a resonant pulse share one eigenbasis, so their round-off
-    # adds up coherently over 2n x 1000 slices; uncorrected, the gate's
-    # unitarity defect reached 9e-12 and Propagator2 rejected it.  Off
-    # resonance too, a shaped train must keep the matmul train: composed in
-    # Cayley-Klein form from its first row, the defect reached 2.7e-14.
+    # The round-off of 2n x 1000 slices adds up coherently: multiplied out as
+    # matrices with no correction, the gate's unitarity defect reached 9e-12
+    # and Propagator2 rejected it.  The kernel multiplies a two-level pulse's
+    # slices in Cayley-Klein form and rescales row 0 to unit norm twice, after
+    # the slices and after the train.  With the first rescale alone the
+    # defect reached 2.4e-14 on these gates; with both it stays near 2.6e-15.
     triangle = tabulated([(0.0, 0.0), (0.5, 1.0), (1.0, 0.0)])
     for fam in (bb_phases(3), bb_phases(9), universal_phases(7, 2)):
         for shape in (gaussian(), triangle):

@@ -284,7 +284,8 @@ def record_stacks(monkeypatch):
 
 def test_each_scan_decomposes_each_detuning_once(monkeypatch):
     # Rectangular pulses are read from the eigen-factors of their one slice;
-    # shaped pulses rebuild the exponentials of their slices.
+    # shaped pulses on N + 1 > 2 levels rebuild the exponentials of their
+    # slices, and shaped two-level pulses decompose nothing.
     calls = record_stacks(monkeypatch)
     scan_2d(universal_phases(5, 2), PI, grid_2d(301))
     assert sum(n for n, _, _ in calls) == 301
@@ -299,19 +300,26 @@ def test_each_scan_decomposes_each_detuning_once(monkeypatch):
     assert sum(n for n, _, _ in calls) == 41
     assert all(factors for _, _, factors in calls)
     calls.clear()
-    # a shaped pulse decomposes each detuning once per slice
+    # a shaped pulse on N + 1 > 2 levels decomposes each detuning once per
+    # distinct envelope sample: the 20 midpoints of a Gaussian take 14 values,
+    # since mirrored midpoints round to the same double
     scan_2d(universal_phases(3, 1), PI, grid_2d(3), system=random_system(3, seed=7, shape=gaussian()),
             substeps=20)
-    assert sum(n for n, _, _ in calls) == 3 * 20
+    assert sum(n for n, _, _ in calls) == 3 * 14
     assert not any(factors for _, _, factors in calls)
     calls.clear()
     # the kernel blocks whole detuning columns, so a shaped map split into
-    # several blocks still decomposes each (detuning, slice) generator once
+    # several blocks still decomposes each (detuning, sample) generator once
     monkeypatch.setattr(two_level, "STACK_ELEMENTS", 4096)
+    scan_2d(universal_phases(3, 1), PI, grid_2d(8), system=random_system(2, seed=7, shape=gaussian()),
+            substeps=20)
+    assert sum(n for n, _, _ in calls) == 8 * 14
+    assert not any(factors for _, _, factors in calls)
+    calls.clear()
+    # a shaped two-level pulse is multiplied out in closed form
     scan_2d(universal_phases(3, 1), PI, grid_2d(8), system=NPodSystem((1.0,), (0.0,), gaussian()),
             substeps=20)
-    assert sum(n for n, _, _ in calls) == 8 * 20
-    assert not any(factors for _, _, factors in calls)
+    assert not calls
 
 
 def test_a_row_longer_than_one_chunk_is_split(monkeypatch):

@@ -339,6 +339,21 @@ def test_kernel_memory_is_bounded_by_the_block_budget():
     assert peak <= out.nbytes + 8 * 16 * two_level.BLOCK_ELEMENTS
 
 
+def test_a_two_level_gate_at_the_slice_limit_stays_within_its_stacks():
+    # STACK_ELEMENTS slices of one point: the closed-form slice product holds
+    # its row 0 pairs and their temporaries, a traced peak of 5.0 stacks of
+    # STACK_ELEMENTS complex elements (the slice-product path took 5.75)
+    phases = gate_sequence(universal_phases(5, 2), PI).pulse_phases
+    tracemalloc.start()
+    try:
+        u = star_propagator((1.0,), phases, 1.1 * PI, 0.1, gaussian(), two_level.STACK_ELEMENTS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert unitarity_defect(u) <= 1e-14
+    assert peak <= 5.5 * 16 * two_level.STACK_ELEMENTS
+
+
 @pytest.mark.parametrize("bright, rows", [((1.0,), 1 << 18), ((1.0, 2j, 0.5 - 0.3j), 1 << 16)],
                          ids=["2lvl", "4lvl"])
 def test_a_long_rectangular_column_is_split_at_the_block_budget(monkeypatch, bright, rows):
@@ -455,15 +470,17 @@ def test_shaped_validation():
 @pytest.mark.parametrize("stack_elements", [1 << 20, 27])
 def test_slice_product_matches_sequential_product(monkeypatch, substeps, stack_elements):
     # 27 elements hold three 3x3 slices: groups of three (each with an odd
-    # element out) and, for 7 and 1000 slices, a one-slice tail group.
+    # element out) and, for 7 and 1000 slices, a one-slice tail group.  The
+    # slices draw their samples from 5 generators, so groups repeat samples.
     monkeypatch.setattr(two_level, "STACK_ELEMENTS", stack_elements)
     rng = np.random.default_rng(substeps)
-    m = rng.standard_normal((substeps, 3, 3)) + 1j * rng.standard_normal((substeps, 3, 3))
+    m = rng.standard_normal((5, 3, 3)) + 1j * rng.standard_normal((5, 3, 3))
     h = 0.5 * (m + m.conj().swapaxes(-1, -2))
+    samples = rng.integers(0, 5, substeps)
     dt = 0.37
-    u = two_level.slice_product(lambda first, last: h[first:last], substeps, dt, 9)
-    expected = expm_hermitian(h[0], dt)
-    for k in range(1, substeps):
+    u = two_level.slice_product(lambda values: h[values], samples, dt, 9)
+    expected = expm_hermitian(h[samples[0]], dt)
+    for k in samples[1:]:
         expected = expm_hermitian(h[k], dt) @ expected
     assert np.max(np.abs(u - expected)) <= 1e-13
 
