@@ -23,6 +23,7 @@ from comphr import (
 )
 from comphr.cli import main, parse_angle
 from comphr.linalg import expm_hermitian_stack
+from comphr.two_level import stack_chunks, time_ordered_product
 
 PI = math.pi
 
@@ -578,6 +579,42 @@ def cayley_klein_star_propagator(bright, pulse_phases, areas, detunings=0.0, sha
     return u.reshape(grid + (2, 2))
 
 
+def matmul_shaped_star_propagator(bright, pulse_phases, areas, detunings, shape, substeps):
+    """A shaped train by the kernel's slice-product path, the reference for its shaped outputs.
+
+    Every midpoint slice of each detuning is decomposed and its
+    exponentials rebuilt for all the areas (expm_hermitian_stack); the
+    slices are multiplied by time_ordered_product in groups of at most
+    STACK_ELEMENTS elements, the groups in time order, and the product takes
+    one Newton-Schulz step, u (3 - u^dagger u) / 2.  The train rescales that
+    pulse to D(p) u D(p)^dagger, D = diag(e^{ip}, ..., e^{ip}, 1), and takes
+    one batched matmul per pulse after the first.  The areas are a scalar or
+    a column, the detunings a scalar or a row.
+    """
+    coupling = np.asarray(bright, dtype=complex).reshape(-1)
+    coupling = coupling / np.linalg.norm(coupling)
+    n = coupling.size
+    a, d = np.asarray(areas, dtype=float), np.asarray(detunings, dtype=float)
+    grid = np.broadcast_shapes(a.shape, d.shape)
+    dets = d.reshape(-1)
+    t = np.broadcast_to(a / shape.unit_integral(), grid).reshape(-1, dets.size)
+    half = 0.5 * np.multiply.outer(shape.envelope((np.arange(substeps) + 0.5) / substeps), coupling)
+    h = np.zeros((dets.size, substeps, n + 1, n + 1), dtype=complex)
+    h[..., :n, n], h[..., n, :n], h[..., n, n] = half, half.conj(), dets[:, None]
+    u = None
+    for part in stack_chunks(substeps, t.size * (n + 1) ** 2):
+        group = time_ordered_product(expm_hermitian_stack(h[:, part], t[..., None] / substeps))
+        u = group if u is None else group @ u
+    u0 = u @ (1.5 * np.eye(n + 1) - 0.5 * (u.conj().swapaxes(-1, -2) @ u))
+    sign = np.zeros((n + 1, n + 1))
+    sign[:n, n], sign[n, :n] = 1.0, -1.0
+    u = None
+    for p in pulse_phases:
+        pulse = u0 * np.exp(1j * p * sign)
+        u = pulse if u is None else pulse @ u
+    return u.reshape(grid + (n + 1, n + 1))
+
+
 #: The rectangular (N+1)-level runs of GOLDEN_CSV and GOLDEN_HR: (command,
 #: module whose star_propagator the reference replaces, argv).
 FULL_RUNS = {
@@ -619,6 +656,33 @@ def test_matmul_full_path_keeps_the_old_digests(tmp_path, capsys, monkeypatch, n
     use_matmul_path(monkeypatch, name)
     text = full_run_output(tmp_path, capsys, name)
     assert hashlib.sha256(text.encode()).hexdigest() == MATMUL_FULL[name]
+
+
+#: sha256 of what hr printed on the Gaussian N = 3 config of GOLDEN_HR with
+#: the slice-product reference in the kernel's place.
+SLICE_PRODUCT_HR = "57e4fe0c26385a3bed6cde0b0cfc27328664bf1e5b5dfcf76013dd18c8b412f6"
+
+
+def shaped_hr_output(tmp_path, capsys):
+    """What hr prints on the Gaussian N = 3 config of GOLDEN_HR, at 200 substeps."""
+    config, argv, _ = GOLDEN_HR[2]
+    cfg = tmp_path / "sys.json"
+    write_config(cfg, **HR_CONFIGS[config])
+    code, out, err = run(capsys, "hr", "--config", str(cfg), *argv)
+    assert (code, err) == (0, "")
+    return out
+
+
+def use_slice_product_path(monkeypatch):
+    """Put the shaped slice-product reference in the kernel's place for hr."""
+    monkeypatch.setattr(importlib.import_module("comphr.npod"), "star_propagator",
+                        matmul_shaped_star_propagator)
+
+
+def test_slice_product_path_keeps_the_old_shaped_hr_digest(tmp_path, capsys, monkeypatch):
+    use_slice_product_path(monkeypatch)
+    text = shaped_hr_output(tmp_path, capsys)
+    assert hashlib.sha256(text.encode()).hexdigest() == SLICE_PRODUCT_HR
 
 
 def computed_values(text, command):

@@ -25,7 +25,7 @@ from comphr import (
 
 from comphr.linalg import expm_hermitian_stack
 from oracle import rk4_propagator, two_level_hamiltonian
-from test_cli import matmul_star_propagator
+from test_cli import matmul_shaped_star_propagator, matmul_star_propagator
 
 PI = np.pi
 
@@ -483,42 +483,6 @@ def test_slice_product_matches_sequential_product(monkeypatch, substeps, stack_e
     for k in samples[1:]:
         expected = expm_hermitian(h[k], dt) @ expected
     assert np.max(np.abs(u - expected)) <= 1e-13
-
-
-def matmul_shaped_star_propagator(bright, pulse_phases, areas, detunings, shape, substeps):
-    """A shaped train by the kernel's slice-product path, the reference for its shaped outputs.
-
-    Every midpoint slice of each detuning is decomposed and its
-    exponentials rebuilt for all the areas (expm_hermitian_stack); the
-    slices are multiplied by time_ordered_product in groups of at most
-    STACK_ELEMENTS elements, the groups in time order, and the product takes
-    one Newton-Schulz step, u (3 - u^dagger u) / 2.  The train rescales that
-    pulse to D(p) u D(p)^dagger, D = diag(e^{ip}, ..., e^{ip}, 1), and takes
-    one batched matmul per pulse after the first.  The areas are a scalar or
-    a column, the detunings a scalar or a row.
-    """
-    coupling = np.asarray(bright, dtype=complex).reshape(-1)
-    coupling = coupling / np.linalg.norm(coupling)
-    n = coupling.size
-    a, d = np.asarray(areas, dtype=float), np.asarray(detunings, dtype=float)
-    grid = np.broadcast_shapes(a.shape, d.shape)
-    dets = d.reshape(-1)
-    t = np.broadcast_to(a / shape.unit_integral(), grid).reshape(-1, dets.size)
-    half = 0.5 * np.multiply.outer(shape.envelope((np.arange(substeps) + 0.5) / substeps), coupling)
-    h = np.zeros((dets.size, substeps, n + 1, n + 1), dtype=complex)
-    h[..., :n, n], h[..., n, :n], h[..., n, n] = half, half.conj(), dets[:, None]
-    u = None
-    for part in two_level.stack_chunks(substeps, t.size * (n + 1) ** 2):
-        group = two_level.time_ordered_product(expm_hermitian_stack(h[:, part], t[..., None] / substeps))
-        u = group if u is None else group @ u
-    u0 = u @ (1.5 * np.eye(n + 1) - 0.5 * (u.conj().swapaxes(-1, -2) @ u))
-    sign = np.zeros((n + 1, n + 1))
-    sign[:n, n], sign[n, :n] = 1.0, -1.0
-    u = None
-    for p in pulse_phases:
-        pulse = u0 * np.exp(1j * p * sign)
-        u = pulse if u is None else pulse @ u
-    return u.reshape(grid + (n + 1, n + 1))
 
 
 #: Envelopes of the shaped reference tests: the benchmark's tabulated sin^2
