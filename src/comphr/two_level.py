@@ -35,8 +35,14 @@ the unit of frequency):
 * A midpoint slice of a shaped two-level pulse is a rectangular pulse of
   Rabi frequency f, the envelope sample, so the kernel multiplies the
   slices in Cayley-Klein form from their closed form and decomposes no
-  generator.  On N + 1 > 2 levels each distinct (detuning, envelope
-  sample) pair of a block is decomposed once.
+  generator.  On N + 1 > 2 levels the diagonal gauge G = diag(e^{i arg c_1},
+  ..., e^{i arg c_N}, 1) makes every slice generator real symmetric, h =
+  G h_r G^dagger with h_r built on the moduli |c_k|.  Each distinct
+  (detuning, envelope sample) pair of a block then takes the real powers
+  of its h_r once, each area sums its exponential as a Taylor series in
+  them (:func:`comphr.linalg.expm_hermitian_series`), and the slice
+  product is conjugated back by G.  Like D(p) below, G is exact algebra on
+  the full propagator.
 
 * On N + 1 levels a drive phase p acts through D(p) = diag(e^{ip}, ...,
   e^{ip}, 1), which is e^{ip} times the identity plus a rank-one term on the
@@ -60,7 +66,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import SERIAL_BLAS, expm_hermitian_stack, unitarity_defect
+from .linalg import SERIAL_BLAS, expm_hermitian_series, expm_hermitian_stack, unitarity_defect
 
 RECTANGULAR = "rectangular"
 GAUSSIAN = "gaussian"
@@ -208,12 +214,13 @@ def grid_chunks(rows: int, cols: int, dim: int, count: int):
     `count` slices holds count * dim^2 elements.  Blocks take whole columns,
     as many as fit in BLOCK_ELEMENTS (at most STACK_ELEMENTS) elements and
     at least one, so that each detuning falls in one block.  Each row range
-    of a split column decomposes the column's generators again, so only a
+    of a split column works on the column's generators again, so only a
     long column is split: a one-slice column beyond BLOCK_ELEMENTS and
     dim^3 elements, so that its O(dim^3) decomposition stays small beside
-    the range's train, and a column of several slices, which decomposes
-    `count` generators per range, beyond STACK_ELEMENTS.  Both cuts are
-    capped at STACK_ELEMENTS, and a range holds at least one row.
+    the range's train, and a column of several slices, which takes the
+    powers of up to `count` generators per range, beyond STACK_ELEMENTS.
+    Both cuts are capped at STACK_ELEMENTS, and a range holds at least one
+    row.
     """
     each = count * dim * dim
     column = min(max(BLOCK_ELEMENTS, dim ** 3) if count == 1 else STACK_ELEMENTS, STACK_ELEMENTS)
@@ -252,23 +259,27 @@ def slice_product(generators, samples, dt, elements_per_slice: int) -> np.ndarra
     size of one slice over those axes.  Slices are exponentiated in groups
     within STACK_ELEMENTS elements, each group is multiplied by
     :func:`time_ordered_product`, and the groups in time order.  A group
-    decomposes only its distinct samples (np.unique) and gathers the slices
-    from their exponentials: equal samples have equal generators and so
-    equal exponentials, bit for bit.
+    exponentiates only its distinct samples (np.unique), each by a Taylor
+    series in the powers of its generator (see
+    :func:`comphr.linalg.expm_hermitian_series`, which decomposes only the
+    generators of slices past the series radius), and gathers the slices from their
+    exponentials: equal samples have equal generators and so equal
+    exponentials, bit for bit.
 
     The product then takes one Newton-Schulz step towards its polar factor,
-    u (3 - u^dagger u) / 2.  Slices that share an eigenbasis (all slices of a
-    resonant pulse do) share the round-off of their eigenvectors, which adds
-    up coherently to a unitarity defect near 5e-13 per 1000 slices.  The step
-    removes that defect to first order and moves the result by no more than
-    the defect itself.  Only pulses of two or more slices on N + 1 > 2
-    levels come here: the kernel reads a one-slice pulse from its
-    eigen-factors and multiplies out a two-level pulse in closed form.
+    u (3 - u^dagger u) / 2.  Each slice is unitary to round-off, and slices
+    of one sample share their round-off exactly, so it adds up over the
+    slices: to a unitarity defect of up to 5e-14 per 1000 slices of a
+    Gaussian N = 3 pulse.  The step removes that defect to first order and
+    moves the result by no more than the defect itself.  Only pulses of two
+    or more slices on N + 1 > 2 levels come here: the kernel reads a
+    one-slice pulse from its eigen-factors and multiplies out a two-level
+    pulse in closed form.
     """
     u = None
     for part in stack_chunks(len(samples), elements_per_slice):
         values, index = np.unique(samples[part], return_inverse=True)
-        slices = np.take(expm_hermitian_stack(generators(values), dt), index, axis=-3)
+        slices = np.take(expm_hermitian_series(generators(values), dt), index, axis=-3)
         group = time_ordered_product(slices)
         u = group if u is None else group @ u
     eye = np.eye(u.shape[-1])
@@ -293,9 +304,11 @@ def star_propagator(bright, pulse_phases, areas, detunings=0.0,
     A pulse is one slice if it is rectangular or `substeps` is 1, else the
     product of its `substeps` midpoint slices.  A generator depends on the
     detuning and the envelope sample, not on the area, so the detunings are
-    decomposed as passed, before they broadcast against the areas: one
-    spectral decomposition per detuning and distinct sample (an outer grid
-    ``areas[:, None]``, ``detunings[None, :]`` takes one per column and
+    taken as passed, before they broadcast against the areas: one spectral
+    decomposition per detuning for a one-slice pulse, and one set of
+    Taylor-series powers per detuning and distinct sample for a pulse of
+    several slices on N + 1 > 2 levels (an outer grid ``areas[:, None]``,
+    ``detunings[None, :]`` takes one per column, or per column and
     sample).  A drive phase p is the diagonal conjugation D u D^dagger with
     D = diag(e^{ip}, ..., e^{ip}, 1).  A train of one-slice pulses starts
     from the eigen-factors of each detuning column and never rebuilds the
@@ -308,13 +321,15 @@ def star_propagator(bright, pulse_phases, areas, detunings=0.0,
     :func:`_two_level_slices`), its train takes the same elementwise
     updates, and the product is rescaled to a unit row 0.  On N + 1 > 2
     levels a pulse of several slices is multiplied out by
-    :func:`slice_product`, and its train takes an elementwise rescale and
-    one batched matmul per pulse after the first; no two-level closed form
-    enters there.  The grid is evaluated on one BLAS thread (see
+    :func:`slice_product` in the real gauge of the couplings' moduli and
+    conjugated back by G = diag(e^{i arg c}, 1), a diagonal like D(p), and
+    its train takes an elementwise rescale and one batched matmul per pulse
+    after the first; no Morris-Shore reduction and no two-level closed form
+    enter there.  The grid is evaluated on one BLAS thread (see
     linalg.SERIAL_BLAS) in the blocks :func:`grid_chunks` derives from N
     and the slice count: whole detuning columns within BLOCK_ELEMENTS stack
     elements, so the elementwise temporaries of a block stay in cache, and
-    area ranges of a long column, each of which decomposes the column's
+    area ranges of a long column, each of which works on the column's
     generators again.
 
     `substeps` must lie in 1..STACK_ELEMENTS whatever the envelope, and the
@@ -371,9 +386,13 @@ def star_propagator(bright, pulse_phases, areas, detunings=0.0,
                 # to a unit row 0 keeps the product unitary to round-off
                 block /= np.linalg.norm(block[..., 0, :], axis=-1)[..., None, None]
             else:
-                u = slice_product(lambda values: _star_generators(coupling, values, det[:, None]),
+                # G = diag(e^{i arg c}, 1) makes the generators real: h = G h_r G^dagger
+                # with h_r built on |c|, and G u G^dagger scales u[j, k] by g_j conj(g_k)
+                moduli = np.abs(coupling)
+                u = slice_product(lambda values: _star_generators(moduli, values, det[:, None]),
                                   envelope, t[..., None] / count, t.size * dim * dim)
-                out[rows, cols] = _pulse_train(u, phases)
+                g = np.append(np.exp(1j * np.angle(coupling)), 1.0)
+                out[rows, cols] = _pulse_train(u * np.multiply.outer(g, g.conj()), phases)
     return out.reshape(grid + (dim, dim))
 
 
@@ -381,13 +400,15 @@ def _star_generators(coupling: np.ndarray, envelope, detunings) -> np.ndarray:
     """Generators [[0, f c/2], [f c^dagger/2, Delta]] over broadcast stacks of f and Delta.
 
     Manifold states first, ancilla last; :func:`comphr.npod.npod_hamiltonian`
-    builds its generator here too.  The shape is broadcast(f, Delta) + (N+1, N+1).
+    builds its generator here too.  The shape is broadcast(f, Delta) + (N+1, N+1),
+    and the dtype follows the coupling: real couplings (the moduli of the
+    kernel's real gauge) give real symmetric generators.
     """
     half = 0.5 * np.multiply.outer(envelope, coupling)
     detunings = np.asarray(detunings, dtype=float)
     n = coupling.size
     shape = np.broadcast_shapes(half.shape[:-1], detunings.shape) + (n + 1, n + 1)
-    h = np.zeros(shape, dtype=complex)
+    h = np.zeros(shape, dtype=np.result_type(half, float))
     h[..., :n, n] = half
     h[..., n, :n] = half.conj()
     h[..., n, n] = detunings

@@ -381,7 +381,7 @@ GOLDEN_HR = [
     ("readme", ["--dump-config"],
      "1b48c5d8569194e18ad6cce73cd86012a95b5ad8d2b5ab45c876000811746861"),
     ("gaussian", ["--detuning", "0.3", "--substeps", "200"],
-     "57e4fe0c26385a3bed6cde0b0cfc27328664bf1e5b5dfcf76013dd18c8b412f6"),
+     "e1a64c64716cc4cbc2cd58a19cb399f3e9d448f55c539133a98f9a93caf9e43b"),
     ("gaussian", ["--dump-config"],
      "0c419f8f1a114559ffd1dc4154f2660f7b6a6950d3322ff03f54a5d3ac897535"),
     ("tabulated", ["--dump-config"],
@@ -580,7 +580,7 @@ def cayley_klein_star_propagator(bright, pulse_phases, areas, detunings=0.0, sha
 
 
 def matmul_shaped_star_propagator(bright, pulse_phases, areas, detunings, shape, substeps):
-    """A shaped train by the kernel's slice-product path, the reference for its shaped outputs.
+    """A shaped train by the kernel's former slice-product path, the reference for shaped outputs.
 
     Every midpoint slice of each detuning is decomposed and its
     exponentials rebuilt for all the areas (expm_hermitian_stack); the
@@ -658,8 +658,27 @@ def test_matmul_full_path_keeps_the_old_digests(tmp_path, capsys, monkeypatch, n
     assert hashlib.sha256(text.encode()).hexdigest() == MATMUL_FULL[name]
 
 
+def computed_values(text, command):
+    """The computed numbers of a run's output: a map's F column, hr's realized block and infidelity."""
+    if command == "hr":
+        doc = json.loads(text)
+        return np.append(np.ravel(doc["actual"]), doc["infidelity"])
+    return np.loadtxt(text.splitlines()[1:], delimiter=",")[:, 2]
+
+
+@pytest.mark.parametrize("name", FULL_RUNS)
+def test_full_runs_match_the_matmul_path(tmp_path, capsys, monkeypatch, name):
+    command = FULL_RUNS[name][0]
+    values = computed_values(full_run_output(tmp_path, capsys, name), command)
+    use_matmul_path(monkeypatch, name)
+    reference = computed_values(full_run_output(tmp_path, capsys, name), command)
+    assert np.max(np.abs(values - reference)) <= 1e-13
+
+
 #: sha256 of what hr printed on the Gaussian N = 3 config of GOLDEN_HR with
-#: the slice-product reference in the kernel's place.
+#: the slice-product reference in the kernel's place; until the slices of
+#: shaped (N+1)-level pulses were summed as Taylor series the CLI printed the
+#: same bytes.
 SLICE_PRODUCT_HR = "57e4fe0c26385a3bed6cde0b0cfc27328664bf1e5b5dfcf76013dd18c8b412f6"
 
 
@@ -685,20 +704,10 @@ def test_slice_product_path_keeps_the_old_shaped_hr_digest(tmp_path, capsys, mon
     assert hashlib.sha256(text.encode()).hexdigest() == SLICE_PRODUCT_HR
 
 
-def computed_values(text, command):
-    """The computed numbers of a run's output: a map's F column, hr's realized block and infidelity."""
-    if command == "hr":
-        doc = json.loads(text)
-        return np.append(np.ravel(doc["actual"]), doc["infidelity"])
-    return np.loadtxt(text.splitlines()[1:], delimiter=",")[:, 2]
-
-
-@pytest.mark.parametrize("name", FULL_RUNS)
-def test_full_runs_match_the_matmul_path(tmp_path, capsys, monkeypatch, name):
-    command = FULL_RUNS[name][0]
-    values = computed_values(full_run_output(tmp_path, capsys, name), command)
-    use_matmul_path(monkeypatch, name)
-    reference = computed_values(full_run_output(tmp_path, capsys, name), command)
+def test_shaped_hr_matches_the_slice_product_path(tmp_path, capsys, monkeypatch):
+    values = computed_values(shaped_hr_output(tmp_path, capsys), "hr")
+    use_slice_product_path(monkeypatch)
+    reference = computed_values(shaped_hr_output(tmp_path, capsys), "hr")
     assert np.max(np.abs(values - reference)) <= 1e-13
 
 

@@ -23,7 +23,7 @@ from comphr import (
     universal_phases,
 )
 from comphr.cli import _config_doc, _parse_config
-from comphr.composite import MAX_ORDER
+from comphr.composite import MAX_ORDER, UNIVERSAL
 
 from oracle import two_level_hamiltonian
 from test_two_level import resonant_propagator
@@ -282,6 +282,24 @@ def test_the_u3_list_compensates_no_area_error():
     for alpha in (PI / 2, PI, 2 * PI):
         u3, n1 = (area_error(fam, alpha, 1e-3) for fam in (universal_phases(3, 1), bb_phases(1)))
         assert u3 == pytest.approx(n1, rel=1e-3)
+
+
+def three_pulse_list(x):
+    """The symmetric list (0, x, 0) pi."""
+    return PhaseList(UNIVERSAL, (Fraction(0), x, Fraction(0)), variant=1)
+
+
+def test_the_area_optimal_three_pulse_list_is_two_thirds():
+    # Tolerances fixed before the code ran: the least gate error at 1% area
+    # error over x in [0, 2] (x = 2 is the phase 0) lies within 2e-3 of 2/3
+    # or its mirror 4/3, and (0, 2/3, 0) pi has area order 3 +- 0.3.
+    xs = [Fraction(k, 1000) % 2 for k in range(2001)]
+    errors = [area_error(three_pulse_list(x), PI, 1e-2) for x in xs]
+    best = float(xs[int(np.argmin(errors))])
+    assert min(abs(best - 2 / 3), abs(best - 4 / 3)) <= 2e-3
+    two_thirds = three_pulse_list(Fraction(2, 3))
+    order = math.log2(area_error(two_thirds, PI, 2e-2) / area_error(two_thirds, PI, 1e-2))
+    assert order == pytest.approx(3.0, abs=0.3)
 
 
 def test_shaped_gate_on_resonance_is_unitary():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from comphr import Propagator2, ValidationError, expm_hermitian, unitarity_defect
+from comphr.linalg import SERIES_THETA, expm_hermitian_series
 
 from oracle import rk4_propagator
 
@@ -93,6 +94,49 @@ def test_expm_stack_matches_per_matrix_calls(h_batch, t_shape, dim):
             one = expm_hermitian_stack(hs[index], ts[index])
             assert np.array_equal(u[index], one)
             assert np.max(np.abs(u[index] - expm_hermitian(hs[index], ts[index]))) <= 1e-14
+
+
+def random_star(rng, dim):
+    """A real symmetric star generator: real couplings to the last level, which is detuned."""
+    h = np.zeros((dim, dim))
+    h[:-1, -1] = h[-1, :-1] = 0.5 * rng.uniform(0.0, 1.0, dim - 1)
+    h[-1, -1] = rng.uniform(-2.0, 2.0)
+    return h
+
+
+#: theta = ||h||_F t from 1e-4 to past the series radius, with each degree's
+#: threshold and its neighbours on both sides.
+THETAS = np.unique(np.concatenate([
+    np.geomspace(1e-4, 3.0, 40), np.multiply.outer(SERIES_THETA, [1 - 1e-12, 1.0, 1 + 1e-12]).ravel()]))
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 6])
+@pytest.mark.parametrize("kind", ["real-star", "complex-hermitian"])
+def test_taylor_series_exponentials_match_expm_hermitian(kind, dim):
+    # Tolerances fixed before the code ran: 1e-14 from a per-matrix
+    # expm_hermitian, and a unitarity defect of at most 1e-14.
+    rng = np.random.default_rng(dim)
+    make = random_star if kind == "real-star" else random_hermitian
+    h = np.stack([make(rng, dim) for _ in range(5)])
+    norm = np.linalg.norm(h, axis=(-2, -1))
+    times = THETAS[:, None] / norm
+    assert times.max() * norm.max() > SERIES_THETA[-1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        u = expm_hermitian_series(h, times)
+    assert u.shape == times.shape + (dim, dim)
+    for k in np.ndindex(times.shape):
+        reference = expm_hermitian(h[k[1]], times[k])
+        assert np.max(np.abs(u[k] - reference)) <= 1e-14
+        assert unitarity_defect(u[k]) <= 1e-14
+
+
+def test_taylor_series_exponentials_of_zero_generators_and_times_are_the_identity():
+    h = np.zeros((2, 3, 3), dtype=complex)
+    h[1] = random_hermitian(np.random.default_rng(1), 3)
+    u = expm_hermitian_series(h, np.array([[0.0], [0.3]]))
+    assert np.array_equal(u[0, 0], np.eye(3)) and np.array_equal(u[0, 1], np.eye(3))
+    assert np.array_equal(u[1, 0], np.eye(3))
 
 
 def test_unitarity_defect_examples():

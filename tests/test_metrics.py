@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from comphr import two_level
+from comphr import linalg, two_level
 from comphr import (
     AXIS_AREA,
     AXIS_DETUNING,
@@ -263,8 +263,10 @@ def test_a_long_scan_holds_one_kernel_block_besides_its_result():
 
 
 def record_stacks(monkeypatch):
-    """Route two_level.expm_hermitian_stack through a recorder of the stacks it handles.
+    """Route expm_hermitian_stack through a recorder of the stacks it handles.
 
+    Both bindings are recorded: the kernel's in two_level, and the one in
+    linalg that expm_hermitian_series calls for slices past its radius.
     Returns the list of (matrices decomposed, elements of the result,
     factors flag) per call.  A factored call counts the rows * cols * n^2
     elements of the pulse train's working block that its eigenphases fill.
@@ -279,13 +281,28 @@ def record_stacks(monkeypatch):
         return result
 
     monkeypatch.setattr(two_level, "expm_hermitian_stack", recorded)
+    monkeypatch.setattr(linalg, "expm_hermitian_stack", recorded)
     return calls
+
+
+def generators_past_the_series_radius(grid, substeps):
+    """Generators of a Gaussian N-pod map of `substeps` slices with a slice past the series radius.
+
+    Counts the distinct (detuning, envelope sample) pairs for which some
+    area's slice has theta = ||h||_F dt above linalg.SERIES_THETA[-1]; a
+    unit-norm star generator has ||h||_F^2 = f^2 / 2 + Delta^2.
+    """
+    shape = gaussian()
+    f = np.unique(shape.envelope((np.arange(substeps) + 0.5) / substeps))
+    dt = PI * grid.axis1.values() / shape.unit_integral() / substeps
+    norm = np.sqrt(0.5 * f ** 2 + grid.axis2.values()[:, None] ** 2)
+    return int(np.sum(np.any(dt[:, None, None] * norm > linalg.SERIES_THETA[-1], axis=0)))
 
 
 def test_each_scan_decomposes_each_detuning_once(monkeypatch):
     # Rectangular pulses are read from the eigen-factors of their one slice;
-    # shaped pulses on N + 1 > 2 levels rebuild the exponentials of their
-    # slices, and shaped two-level pulses decompose nothing.
+    # shaped pulses decompose nothing but the (N+1)-level generators with a
+    # slice past the Taylor series' radius.
     calls = record_stacks(monkeypatch)
     scan_2d(universal_phases(5, 2), PI, grid_2d(301))
     assert sum(n for n, _, _ in calls) == 301
@@ -300,21 +317,32 @@ def test_each_scan_decomposes_each_detuning_once(monkeypatch):
     assert sum(n for n, _, _ in calls) == 41
     assert all(factors for _, _, factors in calls)
     calls.clear()
-    # a shaped pulse on N + 1 > 2 levels decomposes each detuning once per
-    # distinct envelope sample: the 20 midpoints of a Gaussian take 14 values,
-    # since mirrored midpoints round to the same double
+    # a shaped pulse on N + 1 > 2 levels sums a Taylor series for each
+    # distinct (detuning, envelope sample) pair and decomposes nothing ...
+    grid = ScanGrid(ScanAxis(AXIS_AREA, 0.0, 2.0, 5), ScanAxis(AXIS_DETUNING, -1.0, 1.0, 5))
+    scan_2d(universal_phases(3, 1), PI, grid, system=random_system(3, seed=7, shape=gaussian()),
+            substeps=200)
+    assert generators_past_the_series_radius(grid, 200) == 0
+    assert not calls
+    # ... but the generators with a slice past the series radius, each once:
+    # at 20 substeps, the 20 midpoints of a Gaussian take 14 values, since
+    # mirrored midpoints round to the same double
     scan_2d(universal_phases(3, 1), PI, grid_2d(3), system=random_system(3, seed=7, shape=gaussian()),
             substeps=20)
-    assert sum(n for n, _, _ in calls) == 3 * 14
-    assert not any(factors for _, _, factors in calls)
+    past = generators_past_the_series_radius(grid_2d(3), 20)
+    assert 0 < past < 3 * 14
+    assert sum(n for n, _, _ in calls) == past
+    assert all(factors for _, _, factors in calls)
     calls.clear()
     # the kernel blocks whole detuning columns, so a shaped map split into
-    # several blocks still decomposes each (detuning, sample) generator once
+    # several blocks still decomposes each of those generators once
     monkeypatch.setattr(two_level, "STACK_ELEMENTS", 4096)
     scan_2d(universal_phases(3, 1), PI, grid_2d(8), system=random_system(2, seed=7, shape=gaussian()),
             substeps=20)
-    assert sum(n for n, _, _ in calls) == 8 * 14
-    assert not any(factors for _, _, factors in calls)
+    past = generators_past_the_series_radius(grid_2d(8), 20)
+    assert 0 < past < 8 * 14
+    assert sum(n for n, _, _ in calls) == past
+    assert all(factors for _, _, factors in calls)
     calls.clear()
     # a shaped two-level pulse is multiplied out in closed form
     scan_2d(universal_phases(3, 1), PI, grid_2d(8), system=NPodSystem((1.0,), (0.0,), gaussian()),
