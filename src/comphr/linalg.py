@@ -129,11 +129,13 @@ def expm_hermitian_stack(h: np.ndarray, t, factors: bool = False):
     The result has shape broadcast(h.shape[:-2], t.shape) + h.shape[-2:].
     Each matrix of h is decomposed once, as v diag(w) v^dagger, and every
     time that shares its decomposition is rebuilt in the same product: the
-    leading axes of t that h lacks (the area rows of a map) are moved next
-    to the matrix rows, so each decomposition takes one (rows*n x n) @
-    (n x n) matmul, v diag(e^{-iwt}) stacked over the rows times v^dagger,
-    not one BLAS call per n x n matrix.  Without such axes the row group
-    has one member.
+    leading axes of t that h lacks are moved next to the matrix rows, so
+    each decomposition takes one (rows*n x n) @ (n x n) matmul,
+    v diag(e^{-iwt}) stacked over the rows times v^dagger, not one BLAS
+    call per n x n matrix.  Without such axes the row group has one member.
+    The program rebuilds one time per matrix (:func:`expm_hermitian`) or
+    takes the factors; the grouped rebuild serves the tests' reference
+    propagators.
 
     With `factors` the exponentials are not rebuilt: the result is the pair
     (v, phase), v the eigenvectors (shape h.shape) and phase = e^{-iwt} of

@@ -88,13 +88,13 @@ class ScanResult:
             with open(f, "w", encoding="utf-8", newline="") as handle:
                 self.to_csv(handle)
             return
-        xs = self.grid.axis1.values()
+        xs = self.grid.axis1.values()[:, None]
         if self.grid.axis2 is None:
             f.write(",".join(["A_over_pi"] + [f"F_{label}" for label in self.labels]) + "\n")
-            _write_rows(f, np.column_stack([xs, self.values.T]))
+            _write_lines(f, [xs, *self.values[:, :, None]])
         else:
             f.write("A_over_pi,Delta_over_Omega,F\n")
-            _write_map(f, xs, self.grid.axis2.values(), self.values)
+            _write_lines(f, [xs, self.grid.axis2.values()[None, :], self.values])
 
     def csv_text(self) -> str:
         buf = io.StringIO()
@@ -104,40 +104,158 @@ class ScanResult:
 
 #: Every number in an output file: 17 significant digits round-trip a float64.
 _NUMBER = "%.17g"
-#: Rows formatted per write, which bounds the text held in memory for any grid.
+#: Lines formatted per write, which bounds the text held in memory for any grid.
 _CSV_ROWS = 4096
-#: A map line before its detuning is filled in, which leaves "%s,<detuning>,%.17g\n".
-_MAP_LINE = "%%s," + _NUMBER + ",%" + _NUMBER + "\n"
+#: Bytes of a number's field: the longest _NUMBER text, "-2.2250738585072014e-308".
+_FIELD = 24
+#: Veltkamp's splitter 2^27 + 1: a * _SPLIT cuts a double into two 26-bit halves.
+_SPLIT = 134217729.0
 
 
-def _write_rows(f, block: np.ndarray) -> None:
-    """Write every row of a 2-D float block as a CSV line."""
-    row = ",".join([_NUMBER] * block.shape[1]) + "\n"
-    for first in range(0, len(block), _CSV_ROWS):
-        part = block[first:first + _CSV_ROWS]
-        f.write((row * len(part)) % tuple(part.ravel().tolist()))
+def _halves(a):
+    """hi, lo with hi + lo == a exactly, each with at most 26 significant bits (Veltkamp)."""
+    t = a * _SPLIT
+    hi = t - (t - a)
+    return hi, a - hi
 
 
-def _write_map(f, xs: np.ndarray, ys: np.ndarray, values: np.ndarray) -> None:
-    """Write the line (xs[i], ys[j], values[i, j]) of every grid point, i major.
+def _digit_tables():
+    """The scales, the 4-digit words and the heads that _number_fields gathers from.
 
-    Each axis value is formatted once.  The detunings are cut into chunks of
-    at most _CSV_ROWS, and each chunk gets one template that already holds
-    the text of its detunings; an area row fills in its area text and the F
-    of each point.  The templates serve every area row, so together they
-    hold the text of each detuning once.
+    Entry j of the scales is 10^p, p = 16 - k for the decade k = j - 4 of
+    the values 1e-4 <= |x| < 10, each exact in a double, with its halves.
+    Entry w of the words is the text of w in 4 digits as one uint32; entry
+    10000 + w blanks its trailing zeros, for the last word that is not all
+    zero.  The heads are 8 bytes: the sign, "0." and the leading zeros of a
+    decade below 1, the leading digit, and the decimal point after it for
+    k = 0 unless the 16 digits behind it are all zero, padded with spaces;
+    entry 100 sign + 20 j + 2 lead + (rest zero) holds that text.
     """
-    templates = []
-    for first in range(0, ys.size, _CSV_ROWS):
-        part = ys[first:first + _CSV_ROWS].tolist()
-        templates.append((slice(first, first + len(part)), (_MAP_LINE * len(part)) % tuple(part)))
-    for x, row in zip(xs, values):
-        area = _NUMBER % x
-        for cols, template in templates:
-            infidelities = row[cols].tolist()
-            fields = [area] * (2 * len(infidelities))
-            fields[1::2] = infidelities
-            f.write(template % tuple(fields))
+    scale = 10.0 ** np.arange(20, 15, -1)
+    # words[b, d0, d1, d2, d3] holds the digits d0 d1 d2 d3, trailing zeros blanked if b
+    words = np.empty((2, 10, 10, 10, 10, 4), np.uint8)
+    digit = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    for k in range(4):
+        words[..., k] = digit.reshape((10,) + (1,) * (3 - k))
+    blank = words[1]
+    blank[:, :, :, 0, 3] = blank[:, :, 0, 0, 2] = ord(" ")
+    blank[:, 0, 0, 0, 1] = blank[0, 0, 0, 0, 0] = ord(" ")
+    heads = b"".join([(sign + ("0." + "0" * (3 - j) + str(lead) if j < 4
+                               else str(lead) + ("" if zero else "."))).ljust(8).encode()
+                      for sign in ("", "-") for j in range(5)
+                      for lead in range(10) for zero in (False, True)])
+    return (scale, *_halves(scale), words.view(np.uint32).reshape(-1),
+            np.frombuffer(heads, np.uint64))
+
+
+_SCALE, _SCALE_HI, _SCALE_LO, _WORDS, _HEADS = _digit_tables()
+
+
+def _number_fields(values) -> np.ndarray:
+    """The _NUMBER text of every value, as _FIELD bytes padded with spaces.
+
+    The result has shape values.shape + (_FIELD,).  A value with
+    1e-4 <= |x| < 10 takes its 17 digits from _decimal_digits and its text
+    from the tables of _digit_tables: a head for the sign, the point and
+    the leading digit, then four words of 4 digits.  Every other value
+    (zero, a non-finite value, one outside that range, or one that
+    _decimal_digits cannot place) is formatted by _NUMBER one at a time.
+    """
+    x = np.asarray(values, dtype=float).reshape(-1)
+    j, d, exact = _decimal_digits(np.abs(x))
+    # D = lead 10^16 + mid 10^8 + low, and mid and low as two words of 4 digits
+    # each; a word takes the table that blanks its trailing zeros if all after it is 0
+    low = d
+    mid = low // 100000000
+    low -= mid * 100000000
+    lead = mid // 100000000
+    mid -= lead * 100000000
+    low_zero = low == 0
+    text = np.empty((x.size, _FIELD // 4), np.uint32)
+    heads = 100 * np.signbit(x) + 20 * j + 2 * lead + (low_zero & (mid == 0))
+    text.view(np.uint64)[:, 0] = _HEADS.take(heads, mode="clip")
+    word = mid // 10000
+    mid -= word * 10000
+    text[:, 2] = _WORDS.take(word + 10000 * (low_zero & (mid == 0)), mode="clip")
+    text[:, 3] = _WORDS.take(mid + 10000 * low_zero, mode="clip")
+    word = low // 10000
+    low -= word * 10000
+    text[:, 4] = _WORDS.take(word + 10000 * (low == 0), mode="clip")
+    text[:, 5] = _WORDS.take(low + 10000, mode="clip")
+    text = text.view(np.uint8)
+    slow = np.flatnonzero(~exact)
+    if slow.size:
+        other = b"".join([(_NUMBER % v).encode().ljust(_FIELD) for v in x[slow].tolist()])
+        text[slow] = np.frombuffer(other, np.uint8).reshape(-1, _FIELD)
+    return text.reshape(np.shape(values) + (_FIELD,))
+
+
+def _decimal_digits(a: np.ndarray):
+    """(j, D, exact): |x| = a in decade k = j - 4 has the 17 digits of D if exact.
+
+    For 1e-4 <= a < 10 the decade k = floor(log10 a) is estimated, and
+    y + e = a 10^p, p = 16 - k, is formed exactly: y the rounded product and
+    e its error from one Dekker two-product (Numer. Math. 18, 224 (1971)).
+    When 1e16 < y < 9.99999999999999e16 the estimate was right and y is an
+    even integer, so D = y + rint(e) is a 10^p rounded half to even to 17
+    digits: the digits _NUMBER prints.  Any other a (zero, nan, inf, out of
+    range) fails those bounds, and may leave garbage in j and D (the cast
+    of nan, say), which is why every gather from the tables clips.
+    """
+    with np.errstate(all="ignore"):
+        j = (np.log10(a) + 4.0).astype(np.intp)
+        y = a * _SCALE.take(j, mode="clip")
+        a_hi, a_lo = _halves(a)
+        s_hi, s_lo = _SCALE_HI.take(j, mode="clip"), _SCALE_LO.take(j, mode="clip")
+        e = a_hi * s_hi - y
+        e += a_hi * s_lo
+        e += a_lo * s_hi
+        e += a_lo * s_lo
+        exact = (y > 1e16) & (y < 9.99999999999999e16)
+        d = y.astype(np.int64)
+        d += np.rint(e).astype(np.int64)
+    return j, d, exact
+
+
+def _write_lines(f, fields: Sequence[np.ndarray]) -> None:
+    """Write one CSV line per point of the 2-D grid `fields` broadcast to, row by row.
+
+    The lines go out in blocks of at most _CSV_ROWS: whole rows if a row is
+    that short, else parts of one row.  A field given as one row or one
+    column (a map's detuning or area axis) is formatted for the part a
+    block spans, and that text is kept while the next block spans the same
+    part: a map's detunings are formatted once if its rows fit a block.
+    """
+    rows, cols = np.broadcast_shapes(*(a.shape for a in fields))
+    width = min(cols, _CSV_ROWS)
+    height = max(1, _CSV_ROWS // cols)
+    kept = [(None, None)] * len(fields)
+    for i in range(0, rows, height):
+        for j in range(0, cols, width):
+            for k, a in enumerate(fields):
+                at = (i if a.shape[0] > 1 else 0, j if a.shape[1] > 1 else 0)
+                if kept[k][0] != at:
+                    kept[k] = None, None  # frees the old text before the new one is made
+                    kept[k] = at, _number_fields(a[at[0]:at[0] + height, at[1]:at[1] + width])
+            f.write(_joined_lines([text for _, text in kept]))
+
+
+def _joined_lines(texts: Sequence[np.ndarray]) -> str:
+    """The CSV lines of fields given as broadcasting arrays of _number_fields texts.
+
+    Each line is built as the fields in _FIELD bytes, each followed by its
+    separator, and the padding of all lines is deleted at once.
+    """
+    shape = np.broadcast_shapes(*(t.shape[:-1] for t in texts))
+    buf = bytearray(math.prod(shape) * len(texts) * (_FIELD + 1))
+    lines = np.frombuffer(buf, np.uint8).reshape(shape + (len(texts), _FIELD + 1))
+    lines[..., _FIELD] = ord(",")
+    lines[..., -1, _FIELD] = ord("\n")
+    for k, text in enumerate(texts):
+        lines[..., k, :_FIELD] = text
+    text = buf.translate(None, b" ")
+    del lines, buf  # a block's padded lines and its decoded text are never held together
+    return text.decode("ascii")
 
 
 def infidelity(actual, target) -> float:

@@ -26,7 +26,7 @@ leaves v untouched).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -192,10 +192,9 @@ def composite_hr(sys: NPodSystem, family: PhaseList, hr_phase: float, area: floa
     (area = pi, detuning = 0) the result equals householder_matrix(v, hr_phase)
     with v the normalized coupling vector.
     """
-    seq = gate_sequence(family, 2.0 * hr_phase)
-    if detuning is not None:
-        sys = replace(sys, detuning=float(detuning))
-    return manifold_block(npod_propagator(sys, seq, area, substeps))
+    phases = gate_sequence(family, 2.0 * hr_phase).pulse_phases
+    detuning = sys.detuning if detuning is None else float(detuning)
+    return manifold_block(star_propagator(sys.bright, phases, area, detuning, sys.shape, substeps))
 
 
 def random_system(n_states: int, seed: int = 0, shape: PulseShape = rectangular()) -> NPodSystem:

@@ -3,11 +3,12 @@
 import hashlib
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from comphr import linalg, two_level
+from comphr import linalg, metrics, two_level
 from comphr import (
     AXIS_AREA,
     AXIS_DETUNING,
@@ -405,14 +406,18 @@ def test_csv_2d_format_row_major():
         assert float(r[2]) >= 0.0
 
 
-def test_csv_file_output_deterministic(tmp_path):
-    result = scan_area([bb_phases(3)], PI, area_grid(11))
+@pytest.mark.parametrize("scan", [lambda: scan_area([bb_phases(3)], PI, area_grid(11)),
+                                  lambda: scan_2d(universal_phases(5, 2), PI, grid_2d(67))],
+                         ids=["area", "map"])
+def test_csv_file_output_deterministic(tmp_path, scan):
+    result = scan()
     p1 = tmp_path / "a.csv"
     p2 = tmp_path / "b.csv"
     result.to_csv(p1)
     result.to_csv(str(p2))
     assert p1.read_bytes() == p2.read_bytes()
     assert p1.read_text() == result.csv_text()
+    assert p1.read_bytes() == result.csv_text().encode("ascii")
 
 
 def per_value_lines(result):
@@ -460,6 +465,82 @@ def test_csv_matches_the_per_value_format():
         assert result.csv_text() == per_value_csv(result)
 
 
+class LineChecker:
+    """A text file that compares each line written to it with the next line of `expected`."""
+
+    def __init__(self, expected):
+        self.expected = iter(expected)
+        self.lines = 0
+        self.wrong = []
+
+    def write(self, text):
+        for line in text.splitlines(keepends=True):
+            want = next(self.expected)
+            if line != want and len(self.wrong) < 5:
+                self.wrong.append((self.lines, line, want))
+            self.lines += 1
+
+
+def decimal_ties(rng, count):
+    """Doubles x with x 10^p half way between two integers, p = 16 - floor(log10 x).
+
+    x = m 2^(-p - 1) with m odd: x 10^p = m 5^p / 2.  Each decade from 1e-4
+    to 10 gets `count` of them.
+    """
+    ties = []
+    for k in range(-4, 1):
+        p = 16 - k
+        lo, hi = math.ceil(10.0 ** k * 2 ** (p + 1)), math.floor(10.0 ** (k + 1) * 2 ** (p + 1))
+        m = rng.integers(lo // 2, hi // 2, count) * 2 + 1
+        ties.append(m * 2.0 ** (-p - 1))
+    ties = np.concatenate(ties)
+    for x in ties[::97].tolist():
+        p = 16 - math.floor(math.log10(x))
+        assert (Fraction(x) * 10 ** p) % 1 == Fraction(1, 2)
+    return ties
+
+
+def test_csv_numbers_match_the_per_value_format_and_take_the_table_path(monkeypatch):
+    # 2^20 values: log-uniform over 1e-6..1e2, uniform over 0..2, and the edges
+    # of the digit tables: 4 ulps either side of each decade edge, exact
+    # decimal ties, the largest doubles below 1 and 10, whose 17 digits
+    # would carry into the next decade if rounded wrongly, and the values
+    # only the per-value format handles.
+    rng = np.random.default_rng(17)
+    points = 1 << 17
+    values = np.concatenate([10.0 ** rng.uniform(-6.0, 2.0, 5 * points),
+                             rng.uniform(0.0, 2.0, 3 * points)])
+    decades = 10.0 ** np.arange(-4, 2)
+    edges = np.concatenate([decades, np.nextafter(decades, 0.0), np.nextafter(decades, np.inf)])
+    for _ in range(3):
+        edges = np.unique(np.concatenate([edges, np.nextafter(edges, 0.0),
+                                          np.nextafter(edges, np.inf)]))
+    assert edges.size == 9 * decades.size
+    special = [0.99999999999999994, 9.9999999999999982, 0.0, -0.0, 5e-324, -5e-324,
+               2.2250738585072009e-308, 2.2250738585072014e-308, np.nan, np.inf, -np.inf]
+    planted = np.concatenate([edges, -edges, decimal_ties(rng, 400), special])
+    values[rng.choice(values.size, planted.size, replace=False)] = planted
+    result = ScanResult(ScanGrid(ScanAxis(AXIS_AREA, 1.0, 2.0, points)),
+                        tuple("abcdefgh"), values.reshape(8, points))
+
+    class CountingFormat(str):
+        calls = 0
+
+        def __mod__(self, value):
+            CountingFormat.calls += 1
+            return str.__mod__(self, value)
+
+    monkeypatch.setattr(metrics, "_NUMBER", CountingFormat(metrics._NUMBER))
+    checker = LineChecker(per_value_lines(result))
+    result.to_csv(checker)
+    assert checker.wrong == []
+    assert checker.lines == points + 1
+    # the per-value format took the values outside 1e-4 <= |x| < 10, and
+    # at most one in a thousand of the others
+    outside = np.count_nonzero(~((np.abs(values) >= 1e-4) & (np.abs(values) < 10.0)))
+    assert outside <= CountingFormat.calls <= outside + values.size // 1000
+
+
 @pytest.mark.parametrize("rows, cols", [(2, 1 << 17), (16, 1 << 16), (1 << 10, 1 << 10),
                                         (1 << 17, 2), (301, 301)])
 def test_csv_of_large_maps_matches_the_per_value_format(rows, cols):
@@ -470,9 +551,9 @@ def test_csv_of_large_maps_matches_the_per_value_format(rows, cols):
         # The whole text of 2 x 2^17 lines (about 45 characters each) exceeds
         # the bound; tracing every number of a longer grid costs many seconds
         _, peak = traced_peak(lambda: result.to_csv(written))
-        # The area axis; the detuning axis, with the text of each detuning
-        # held once (at most 24 characters, plus 10 of its line template);
-        # and the text of one write.
+        # The area axis; the detuning axis, and room for the text of each
+        # detuning (at most 24 characters, plus 16), which the writer keeps
+        # for one block only; and the text of one write.
         assert peak <= 8 * rows + (8 + 40) * cols + (1 << 20)
     else:
         result.to_csv(written)
