@@ -26,7 +26,7 @@ from .composite import PhaseList, gate_sequence
 from .errors import ValidationError
 from .linalg import require_square
 from .npod import HouseholderTarget, NPodSystem, householder_matrix
-from .two_level import DEFAULT_SUBSTEPS, STACK_ELEMENTS, grid_chunks, star_propagator
+from .two_level import DEFAULT_SUBSTEPS, STACK_ELEMENTS, _star_blocks
 
 AXIS_AREA = "area_over_pi"
 AXIS_DETUNING = "detuning_over_omega"
@@ -290,21 +290,16 @@ def _infidelity_map(family: PhaseList, hr_phase: float, system: NPodSystem, area
                     substeps: int = DEFAULT_SUBSTEPS) -> np.ndarray:
     """Infidelity of the system's manifold block at every (area, detuning) pair.
 
-    The grid is passed to the kernel in the kernel's own blocks for one
-    slice on N + 1 levels (see :func:`comphr.two_level.grid_chunks`): whole
-    detuning columns of at most BLOCK_ELEMENTS propagator elements, and a
-    long column in area ranges.  The propagators of one block and the
-    temporaries of their distances are all the scan holds besides its
-    result, and the kernel decomposes each detuning of a block once, not
-    once per point (see ``star_propagator``).
+    Each block of propagators the kernel yields (``two_level._star_blocks``)
+    is reduced to its distances at once, so a block and the temporaries of
+    its distances are all the scan holds besides its result.
     """
     n = system.n_states
     target = householder_matrix(HouseholderTarget(system.bright, hr_phase))
     phases = gate_sequence(family, 2.0 * hr_phase).pulse_phases
     values = np.empty((areas.size, dets.size))
-    for rows, cols in grid_chunks(areas.size, dets.size, n + 1, 1):
-        u = star_propagator(system.bright, phases, areas[rows, None], dets[None, cols],
-                            system.shape, substeps)
+    grid = np.broadcast_to(areas[:, None], values.shape)
+    for rows, cols, u in _star_blocks(system.bright, phases, grid, dets, system.shape, substeps):
         values[rows, cols] = np.linalg.norm(u[..., :n, :n] - target, axis=(-2, -1))
     return values
 

@@ -54,8 +54,10 @@ the unit of frequency):
 
 The single pulse above is ``star_propagator((1.0,), (phi,), A, Delta, shape,
 substeps)``, the N = 1 star system, and a rectangular pulse is one slice.
-:func:`star_propagator` computes every propagator of the package except one:
-the single rectangular pulse of :func:`comphr.npod.pulse_propagator`.
+The kernel, :func:`_star_blocks`, computes every propagator of the package
+except the single rectangular pulse of :func:`comphr.npod.pulse_propagator`:
+:func:`star_propagator` fills its result from the kernel's blocks, and the
+scans of :mod:`comphr.metrics` reduce each block to its distances.
 """
 
 from __future__ import annotations
@@ -210,8 +212,9 @@ def stack_chunks(count: int, elements_each: int, budget: int | None = None):
 def grid_chunks(rows: int, cols: int, dim: int, count: int):
     """(row range, column range) blocks over a rows x cols grid of pulses on `dim` levels.
 
-    The rows are areas and the columns detunings, and a point's pulse of
-    `count` slices holds count * dim^2 elements.  Blocks take whole columns,
+    The one cut of a grid, the kernel's (see :func:`_star_blocks`).  The
+    rows are areas and the columns detunings, and a point's pulse of `count`
+    slices holds count * dim^2 elements.  Blocks take whole columns,
     as many as fit in BLOCK_ELEMENTS (at most STACK_ELEMENTS) elements and
     at least one, so that each detuning falls in one block.  Each row range
     of a split column works on the column's generators again, so only a
@@ -302,39 +305,49 @@ def star_propagator(bright, pulse_phases, areas, detunings=0.0,
     this module's frame is the case bright = [1].
 
     A pulse is one slice if it is rectangular or `substeps` is 1, else the
-    product of its `substeps` midpoint slices.  A generator depends on the
-    detuning and the envelope sample, not on the area, so the detunings are
-    taken as passed, before they broadcast against the areas: one spectral
-    decomposition per detuning for a one-slice pulse, and one set of
-    Taylor-series powers per detuning and distinct sample for a pulse of
-    several slices on N + 1 > 2 levels (an outer grid ``areas[:, None]``,
-    ``detunings[None, :]`` takes one per column, or per column and
-    sample).  A drive phase p is the diagonal conjugation D u D^dagger with
-    D = diag(e^{ip}, ..., e^{ip}, 1).  A train of one-slice pulses starts
-    from the eigen-factors of each detuning column and never rebuilds the
-    exponentials: on two levels it is composed in Cayley-Klein form from
-    row 0 of those factors, a few elementwise updates per pulse (see
-    :func:`_two_level_train`), and on N + 1 levels in the eigenbasis, one
-    rank-one update per pulse (see :func:`_eigenbasis_train`).  A two-level
-    pulse of several slices decomposes nothing: its slices have a closed
-    form and are multiplied out in Cayley-Klein form (see
-    :func:`_two_level_slices`), its train takes the same elementwise
-    updates, and the product is rescaled to a unit row 0.  On N + 1 > 2
-    levels a pulse of several slices is multiplied out by
-    :func:`slice_product` in the real gauge of the couplings' moduli and
-    conjugated back by G = diag(e^{i arg c}, 1), a diagonal like D(p), and
-    its train takes an elementwise rescale and one batched matmul per pulse
-    after the first; no Morris-Shore reduction and no two-level closed form
-    enter there.  The grid is evaluated on one BLAS thread (see
-    linalg.SERIAL_BLAS) in the blocks :func:`grid_chunks` derives from N
-    and the slice count: whole detuning columns within BLOCK_ELEMENTS stack
-    elements, so the elementwise temporaries of a block stay in cache, and
-    area ranges of a long column, each of which works on the column's
-    generators again.
+    product of its `substeps` midpoint slices.  The detunings are taken as
+    passed, before they broadcast against the areas, as the columns of a
+    rows x cols grid, which is filled from the blocks of :func:`_star_blocks`
+    (an outer grid ``areas[:, None]``, ``detunings[None, :]`` has one column
+    per detuning).
+    """
+    a, d = np.asarray(areas, dtype=float), np.asarray(detunings, dtype=float)
+    grid = np.broadcast_shapes(a.shape, d.shape)
+    # rows x cols view of the grid: the detunings repeat over the leading
+    # axes they broadcast along, so every row sees the same `dets`.
+    d_axes = (1,) * (len(grid) - d.ndim) + d.shape
+    lead = next((k for k, size in enumerate(d_axes) if size != 1), len(grid))
+    dets = np.broadcast_to(d.reshape(d_axes[lead:]), grid[lead:]).reshape(-1)
+    view = np.broadcast_to(a, grid).reshape(math.prod(grid[:lead]), dets.size)
+    dim = np.size(bright) + 1
+    out = np.empty(view.shape + (dim, dim), dtype=complex)
+    for rows, cols, block in _star_blocks(bright, pulse_phases, view, dets, shape, substeps):
+        out[rows, cols] = block
+    return out.reshape(grid + (dim, dim))
 
-    `substeps` must lie in 1..STACK_ELEMENTS whatever the envelope, and the
-    longest duration times (max |Delta| + 1) must be finite; both are
-    checked before any work.
+
+def _star_blocks(bright, pulse_phases, areas, detunings, shape: PulseShape, substeps: int):
+    """The propagation kernel: (rows, cols, propagators) for each block of a grid of trains.
+
+    The trains are those of :func:`star_propagator`, with the rms areas on a
+    rows x cols grid `areas` and the detunings (cols,) on its columns.  Every
+    input is checked before the first block, `substeps` (1..STACK_ELEMENTS
+    whatever the envelope) and the finiteness of the longest duration times
+    (max |Delta| + 1) among them.  The blocks are those :func:`grid_chunks`
+    derives from N and the slice count, and each block's propagators,
+    (rows, cols, N+1, N+1), are computed on one BLAS thread (see
+    linalg.SERIAL_BLAS).
+
+    A block takes one of three branches, in the algebra of the module
+    docstring.  A one-slice pulse is read from the eigen-factors of each
+    detuning's generator, one decomposition per column
+    (:func:`_two_level_train` on two levels, :func:`_eigenbasis_train` on
+    more).  A two-level pulse of several slices is multiplied out in closed
+    form (:func:`_two_level_slices`) and rescaled to a unit row 0 after its
+    train.  An (N+1)-level pulse of several slices is multiplied out by
+    :func:`slice_product` in the real gauge, one set of Taylor-series powers
+    per detuning and distinct sample, and its train takes one batched
+    matmul per pulse after the first.
     """
     coupling = np.asarray(bright, dtype=complex).reshape(-1)
     norm = float(np.linalg.norm(coupling))
@@ -344,43 +357,35 @@ def star_propagator(bright, pulse_phases, areas, detunings=0.0,
     phases = tuple(float(p) for p in pulse_phases)
     if not phases or not all(math.isfinite(p) for p in phases):
         raise ValidationError("a pulse train needs at least one finite drive phase")
-    a, d = np.asarray(areas, dtype=float), np.asarray(detunings, dtype=float)
-    grid = np.broadcast_shapes(a.shape, d.shape)
-    if not (np.all(np.isfinite(a)) and np.all(a >= 0.0)):
+    if not (np.all(np.isfinite(areas)) and np.all(areas >= 0.0)):
         raise ValidationError("areas must be finite and >= 0")
-    if not np.all(np.isfinite(d)):
+    if not np.all(np.isfinite(detunings)):
         raise ValidationError("detunings must be finite")
     # A unit-rms generator has eigenvalues |w| <= |Delta| + 1/2, so this
     # product bounds every eigenphase t w and every frame phase Delta T.
     # Python floats overflow to inf without a warning.
-    longest = float(np.max(a, initial=0.0)) / shape.unit_integral()
-    if not math.isfinite(longest * (float(np.max(np.abs(d), initial=0.0)) + 1.0)):
+    unit = shape.unit_integral()
+    longest = float(np.max(areas, initial=0.0)) / unit
+    if not math.isfinite(longest * (float(np.max(np.abs(detunings), initial=0.0)) + 1.0)):
         raise ValidationError("area x detuning is too large: the pulse phases overflow")
     if not (1 <= substeps <= STACK_ELEMENTS and int(substeps) == substeps):
         raise ValidationError(f"substeps must be an integer from 1 to {STACK_ELEMENTS}")
     dim = coupling.size + 1
     count = 1 if shape.kind == RECTANGULAR else int(substeps)
-    # rows x cols view of the grid: the detunings repeat over the leading
-    # axes they broadcast along, so every row sees the same `dets`.
-    d_axes = (1,) * (len(grid) - d.ndim) + d.shape
-    lead = next((k for k, size in enumerate(d_axes) if size != 1), len(grid))
-    dets = np.broadcast_to(d.reshape(d_axes[lead:]), grid[lead:]).reshape(-1)
-    durations = np.broadcast_to(a / shape.unit_integral(), grid)
-    durations = durations.reshape(math.prod(grid[:lead]), dets.size)
     envelope = shape.envelope((np.arange(count) + 0.5) / count)
-    out = np.empty(durations.shape + (dim, dim), dtype=complex)
-    with SERIAL_BLAS:
-        for rows, cols in grid_chunks(*durations.shape, dim, count):
-            t, det = durations[rows, cols], dets[cols]
+    for rows, cols in grid_chunks(*areas.shape, dim, count):
+        with SERIAL_BLAS:
+            t, det = areas[rows, cols] / unit, detunings[cols]
             if count == 1:
+                block = np.empty(t.shape + (dim, dim), dtype=complex)
                 h = _star_generators(coupling, envelope, det[:, None])[:, 0]
                 v, phase = expm_hermitian_stack(h, t, factors=True)
                 if dim == 2:
-                    _two_level_train(*_eigen_row(v, phase), det * t, phases, out[rows, cols])
+                    _two_level_train(*_eigen_row(v, phase), det * t, phases, block)
                 else:
-                    _eigenbasis_train(v, phase, phases, out[rows, cols])
+                    _eigenbasis_train(v, phase, phases, block)
             elif dim == 2:
-                block = out[rows, cols]
+                block = np.empty(t.shape + (dim, dim), dtype=complex)
                 _two_level_train(*_two_level_slices(envelope, det, t), det * t, phases, block)
                 # the train adds its round-off to the slices'; a second rescale
                 # to a unit row 0 keeps the product unitary to round-off
@@ -392,8 +397,8 @@ def star_propagator(bright, pulse_phases, areas, detunings=0.0,
                 u = slice_product(lambda values: _star_generators(moduli, values, det[:, None]),
                                   envelope, t[..., None] / count, t.size * dim * dim)
                 g = np.append(np.exp(1j * np.angle(coupling)), 1.0)
-                out[rows, cols] = _pulse_train(u * np.multiply.outer(g, g.conj()), phases)
-    return out.reshape(grid + (dim, dim))
+                block = _pulse_train(u * np.multiply.outer(g, g.conj()), phases)
+        yield rows, cols, block
 
 
 def _star_generators(coupling: np.ndarray, envelope, detunings) -> np.ndarray:

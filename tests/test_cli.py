@@ -23,7 +23,7 @@ from comphr import (
 )
 from comphr.cli import main, parse_angle
 from comphr.linalg import expm_hermitian_stack
-from comphr.two_level import stack_chunks, time_ordered_product
+from comphr.two_level import grid_chunks, stack_chunks, time_ordered_product
 
 PI = math.pi
 
@@ -615,8 +615,34 @@ def matmul_shaped_star_propagator(bright, pulse_phases, areas, detunings, shape,
     return u.reshape(grid + (n + 1, n + 1))
 
 
+def scan_blocks(propagator):
+    """A stand-in for the kernel's block generator that the scans take, running `propagator`.
+
+    It calls `propagator` on the blocks that grid_chunks gives one slice on
+    N + 1 levels, with the block's areas as a column and its detunings as a
+    row: the calls the scans made before the kernel owned their loop.  A
+    scan's areas are the same along each row of its grid.
+    """
+    def blocks(bright, pulse_phases, areas, detunings, shape, substeps):
+        for rows, cols in grid_chunks(*areas.shape, np.size(bright) + 1, 1):
+            yield rows, cols, propagator(bright, pulse_phases, areas[rows, :1], detunings[None, cols],
+                                         shape, substeps)
+    return blocks
+
+
+def use_reference(monkeypatch, module, propagator):
+    """Put the reference `propagator` in the kernel's place in comphr.`module`.
+
+    The scans of metrics take it through scan_blocks, and npod calls it as
+    star_propagator.
+    """
+    name, value = (("_star_blocks", scan_blocks(propagator)) if module == "metrics"
+                   else ("star_propagator", propagator))
+    monkeypatch.setattr(importlib.import_module(f"comphr.{module}"), name, value)
+
+
 #: The rectangular (N+1)-level runs of GOLDEN_CSV and GOLDEN_HR: (command,
-#: module whose star_propagator the reference replaces, argv).
+#: module whose kernel the reference replaces, argv).
 FULL_RUNS = {
     "scan-2d-full": ("scan-2d", "metrics", GOLDEN_CSV[2][0][1:]),
     "hr-readme": ("hr", "npod", GOLDEN_HR[0][1]),
@@ -647,8 +673,7 @@ def full_run_output(tmp_path, capsys, name):
 
 def use_matmul_path(monkeypatch, name):
     """Put the matmul reference in the kernel's place for the run `name` of FULL_RUNS."""
-    module = importlib.import_module(f"comphr.{FULL_RUNS[name][1]}")
-    monkeypatch.setattr(module, "star_propagator", matmul_star_propagator)
+    use_reference(monkeypatch, FULL_RUNS[name][1], matmul_star_propagator)
 
 
 @pytest.mark.parametrize("name", MATMUL_FULL)
@@ -694,8 +719,7 @@ def shaped_hr_output(tmp_path, capsys):
 
 def use_slice_product_path(monkeypatch):
     """Put the shaped slice-product reference in the kernel's place for hr."""
-    monkeypatch.setattr(importlib.import_module("comphr.npod"), "star_propagator",
-                        matmul_shaped_star_propagator)
+    use_reference(monkeypatch, "npod", matmul_shaped_star_propagator)
 
 
 def test_slice_product_path_keeps_the_old_shaped_hr_digest(tmp_path, capsys, monkeypatch):
@@ -722,8 +746,7 @@ CAYLEY_KLEIN_CSV = {
 
 @pytest.mark.parametrize("name", sorted(CAYLEY_KLEIN_CSV))
 def test_cayley_klein_shortcut_path_keeps_the_old_digests(tmp_path, capsys, monkeypatch, name):
-    monkeypatch.setattr(importlib.import_module("comphr.metrics"), "star_propagator",
-                        cayley_klein_star_propagator)
+    use_reference(monkeypatch, "metrics", cayley_klein_star_propagator)
     out = tmp_path / "scan.csv"
     code, _, _ = run(capsys, *SHORTCUT_SCANS[name][0], "--out", str(out))
     assert code == 0

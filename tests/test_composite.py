@@ -302,6 +302,39 @@ def test_the_area_optimal_three_pulse_list_is_two_thirds():
     assert order == pytest.approx(3.0, abs=0.3)
 
 
+#: Fitted orders of the gate error under an arbitrary systematic pulse
+#: error: the bb lists and the u3 list compensate none, u5 and u7 reach the
+#: third order.
+ARBITRARY_ORDERS = {"n1": 1, "n3": 1, "u3v1": 1, "u5v1": 3, "u5v2": 3, "u7v1": 3, "u7v2": 3}
+ARBITRARY_FAMILIES = [f for f in ORDER_FAMILIES if f.label in ARBITRARY_ORDERS]
+
+
+def arbitrary_error_gate(fam, alpha, k, eps):
+    """The gate whose pi pulses are each D(p) exp(-i (sigma_x / 2 + eps K) pi) D(p)^dagger."""
+    pulse = expm_hermitian(np.array([[0.0, 0.5], [0.5, 0.0]]) + eps * k, PI)
+    u = np.eye(2)
+    for p in gate_sequence(fam, alpha).pulse_phases:
+        d = np.diag([np.exp(1j * p), 1.0])
+        u = d @ pulse @ d.conj().T @ u
+    return u
+
+
+@pytest.mark.parametrize("fam", ARBITRARY_FAMILIES, ids=[f.label for f in ARBITRARY_FAMILIES])
+def test_arbitrary_error_compensation_orders(fam):
+    # Tolerance fixed before the code ran: order = log2(err(2e-3) / err(1e-3))
+    # within 0.3 of ARBITRARY_ORDERS for each of 5 random traceless K of unit
+    # Frobenius norm (measured 0.98-1.01 and 2.98-3.01).  n3 compensates area
+    # errors to order 3, but not an arbitrary error.
+    rng = np.random.default_rng(1)
+    for _ in range(5):
+        x, y, z = rng.standard_normal(3)
+        k = np.array([[z, x - 1j * y], [x + 1j * y, -z]])
+        k /= np.linalg.norm(k)
+        nominal = arbitrary_error_gate(fam, PI, k, 0.0)
+        err = [np.linalg.norm(arbitrary_error_gate(fam, PI, k, eps) - nominal) for eps in (2e-3, 1e-3)]
+        assert math.log2(err[0] / err[1]) == pytest.approx(ARBITRARY_ORDERS[fam.label], abs=0.3)
+
+
 def test_shaped_gate_on_resonance_is_unitary():
     # The round-off of 2n x 1000 slices adds up coherently: multiplied out as
     # matrices with no correction, the gate's unitarity defect reached 9e-12

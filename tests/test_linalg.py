@@ -183,7 +183,8 @@ def test_serial_blas_nests_and_restores_on_error():
 
 
 def test_propagator_kernels_run_on_one_blas_thread(monkeypatch):
-    from comphr import linalg, two_level
+    from comphr import (AXIS_AREA, AXIS_DETUNING, ScanAxis, ScanGrid, bb_phases, linalg,
+                        random_system, scan_2d, two_level)
 
     get, put = _blas_threads()
     before = get()
@@ -202,3 +203,11 @@ def test_propagator_kernels_run_on_one_blas_thread(monkeypatch):
     assert seen == [1, 1]
     assert get() == before
     assert unitarity_defect(u) < 1e-12 and unitarity_defect(v) < 1e-12
+    # the scans take the kernel's blocks: the shortcut map in two blocks,
+    # the N = 3 map in five, each decomposing its detunings on one thread
+    grid = ScanGrid(ScanAxis(AXIS_AREA, 0.0, 2.0, 41), ScanAxis(AXIS_DETUNING, -2.0, 2.0, 201))
+    for system, blocks in ((None, 2), (random_system(3, seed=7), 5)):
+        seen.clear()
+        scan_2d(bb_phases(9), np.pi, grid, system=system)
+        assert seen == [1] * blocks
+        assert get() == before

@@ -21,6 +21,7 @@ from comphr import (
     bb_infidelity_analytic,
     bb_phases,
     composite_hr,
+    gate_sequence,
     gaussian,
     householder_matrix,
     infidelity,
@@ -28,6 +29,7 @@ from comphr import (
     random_system,
     scan_2d,
     scan_area,
+    star_propagator,
     universal_phases,
 )
 
@@ -349,6 +351,48 @@ def test_each_scan_decomposes_each_detuning_once(monkeypatch):
     scan_2d(universal_phases(3, 1), PI, grid_2d(8), system=NPodSystem((1.0,), (0.0,), gaussian()),
             substeps=20)
     assert not calls
+
+
+def test_a_long_shaped_column_is_cut_once_the_way_the_kernel_cuts_it(monkeypatch):
+    # With stacks of 2^13 elements the kernel takes a 600-area column of
+    # 20-slice 4-level pulses in ranges of 25 areas, and each range
+    # decomposes its generators past the series radius again (53 in all).
+    # The scan takes the same ranges: a cut at the one-slice size (512
+    # areas) before the kernel's would leave ranges that straddle it (60).
+    monkeypatch.setattr(two_level, "STACK_ELEMENTS", 1 << 13)
+    system = random_system(3, seed=7, shape=gaussian())
+    fam = universal_phases(3, 1)
+    grid = ScanGrid(ScanAxis(AXIS_AREA, 0.0, 4.0, 600), ScanAxis(AXIS_DETUNING, 0.3, 0.5, 2))
+    calls = record_stacks(monkeypatch)
+    scan = scan_2d(fam, PI, grid, system=system, substeps=20).values
+    scanned = sum(n for n, _, _ in calls)
+    calls.clear()
+    u = star_propagator(system.bright, gate_sequence(fam, 2 * PI).pulse_phases,
+                        PI * grid.axis1.values()[:, None], grid.axis2.values()[None, :],
+                        system.shape, 20)
+    assert scanned == sum(n for n, _, _ in calls) > 0
+    target = householder_matrix(HouseholderTarget(system.bright, PI))
+    assert np.array_equal(scan, np.linalg.norm(u[..., :3, :3] - target, axis=(-2, -1)))
+
+
+#: The shortcut and an N = 3 full map, each with the detunings that make
+#: them two blocks at BLOCK_ELEMENTS: (system, detuning points).
+BUDGET_SCANS = {
+    "shortcut": (None, 201),
+    "N3-full": (random_system(3, seed=7), 61),
+}
+
+
+@pytest.mark.parametrize("system, dpoints", BUDGET_SCANS.values(), ids=BUDGET_SCANS.keys())
+def test_scan_bits_do_not_depend_on_the_block_budget(monkeypatch, system, dpoints):
+    # 64 elements split each detuning column into ranges of 16 (shortcut) or
+    # 4 (N = 3) areas, and STACK_ELEMENTS puts each map in one block
+    grid = ScanGrid(ScanAxis(AXIS_AREA, 0.0, 2.0, 41), ScanAxis(AXIS_DETUNING, -2.0, 2.0, dpoints))
+    maps = []
+    for budget in (64, two_level.BLOCK_ELEMENTS, two_level.STACK_ELEMENTS):
+        monkeypatch.setattr(two_level, "BLOCK_ELEMENTS", budget)
+        maps.append(scan_2d(bb_phases(9), PI, grid, system=system).values)
+    assert all(np.array_equal(f, maps[0]) for f in maps[1:])
 
 
 def test_a_row_longer_than_one_chunk_is_split(monkeypatch):
