@@ -23,7 +23,9 @@ from comphr import (
 )
 from comphr.cli import main, parse_angle
 from comphr.linalg import expm_hermitian_stack
-from comphr.two_level import grid_chunks, stack_chunks, time_ordered_product
+from comphr.two_level import (_pulse_train, _star_generators, grid_chunks, stack_chunks,
+                              time_ordered_product)
+from test_linalg import expm_hermitian_series
 
 PI = math.pi
 
@@ -615,6 +617,40 @@ def matmul_shaped_star_propagator(bright, pulse_phases, areas, detunings, shape,
     return u.reshape(grid + (n + 1, n + 1))
 
 
+def series_star_propagator(bright, pulse_phases, areas, detunings, shape, substeps):
+    """A shaped (N+1)-level train by the kernel's former Taylor-series path, the reference for its digest.
+
+    In the real gauge G = diag(e^{i arg c}, 1) every midpoint slice
+    generator is built on the moduli |c|.  The slices are taken in groups of
+    at most STACK_ELEMENTS elements; a group sums a Taylor series for each
+    of its distinct samples (expm_hermitian_series) and gathers its slices
+    from them, and its product is formed by time_ordered_product, the groups
+    in time order.  The product takes one Newton-Schulz step,
+    u (3 - u^dagger u) / 2, is conjugated back by G and runs through the
+    kernel's _pulse_train.  The areas are a scalar or a column, the
+    detunings a scalar or a row.
+    """
+    coupling = np.asarray(bright, dtype=complex).reshape(-1)
+    coupling = coupling / float(np.linalg.norm(coupling))
+    n = coupling.size
+    a, d = np.asarray(areas, dtype=float), np.asarray(detunings, dtype=float)
+    grid = np.broadcast_shapes(a.shape, d.shape)
+    det = d.reshape(-1)
+    t = np.broadcast_to(a, grid).reshape(-1, det.size) / shape.unit_integral()
+    samples = shape.envelope((np.arange(substeps) + 0.5) / substeps)
+    dt = t[..., None] / substeps
+    u = None
+    for part in stack_chunks(substeps, t.size * (n + 1) ** 2):
+        values, index = np.unique(samples[part], return_inverse=True)
+        h = _star_generators(np.abs(coupling), values, det[:, None])
+        group = time_ordered_product(np.take(expm_hermitian_series(h, dt), index, axis=-3))
+        u = group if u is None else group @ u
+    u = u @ (1.5 * np.eye(n + 1) - 0.5 * (u.conj().swapaxes(-1, -2) @ u))
+    g = np.append(np.exp(1j * np.angle(coupling)), 1.0)
+    return _pulse_train(u * np.multiply.outer(g, g.conj()), tuple(pulse_phases)).reshape(
+        grid + (n + 1, n + 1))
+
+
 def scan_blocks(propagator):
     """A stand-in for the kernel's block generator that the scans take, running `propagator`.
 
@@ -751,6 +787,26 @@ def test_cayley_klein_shortcut_path_keeps_the_old_digests(tmp_path, capsys, monk
     code, _, _ = run(capsys, *SHORTCUT_SCANS[name][0], "--out", str(out))
     assert code == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == CAYLEY_KLEIN_CSV[name]
+
+
+#: sha256 of what hr printed on the Gaussian N = 3 config of GOLDEN_HR with
+#: the Taylor-series reference in the kernel's place; until the slices of a
+#: shaped (N+1)-level pulse were summed as one envelope polynomial per point
+#: the CLI printed the same bytes.
+SERIES_HR = "e1a64c64716cc4cbc2cd58a19cb399f3e9d448f55c539133a98f9a93caf9e43b"
+
+
+def test_series_path_keeps_the_old_shaped_hr_digest(tmp_path, capsys, monkeypatch):
+    use_reference(monkeypatch, "npod", series_star_propagator)
+    text = shaped_hr_output(tmp_path, capsys)
+    assert hashlib.sha256(text.encode()).hexdigest() == SERIES_HR
+
+
+def test_shaped_hr_matches_the_series_path(tmp_path, capsys, monkeypatch):
+    values = computed_values(shaped_hr_output(tmp_path, capsys), "hr")
+    use_reference(monkeypatch, "npod", series_star_propagator)
+    reference = computed_values(shaped_hr_output(tmp_path, capsys), "hr")
+    assert np.max(np.abs(values - reference)) <= 1e-13
 
 
 def test_scan_area_bad_n_list(tmp_path, capsys):
