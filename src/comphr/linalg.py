@@ -4,10 +4,11 @@ Matrices are plain numpy arrays of complex dtype.  Everything here is sized
 for systems with at most a few tens of levels: no sparsity, no iterative
 solvers.  Propagators are computed by spectral decomposition of the (tiny)
 Hermitian generator, which keeps them unitary to round-off for any time
-argument (:func:`expm_hermitian_stack`).  The short slices of shaped pulses
-are exponentiated by a Taylor series in the generator's powers instead,
-exact to round-off within its radius (:func:`expm_hermitian_series`), which
-hands a slice past that radius to the spectral decomposition.
+argument (:func:`expm_hermitian_stack`).  The short slices of shaped
+(N+1)-level pulses are summed as Taylor series instead, exact to round-off
+within the radius that SERIES_THETA sets (see
+:func:`comphr.two_level.slice_product`), and a slice past that radius is
+taken from the spectral decomposition.
 """
 
 from __future__ import annotations
@@ -164,7 +165,7 @@ def expm_hermitian_stack(h: np.ndarray, t, factors: bool = False):
     return u.reshape(rows + u.shape[1:])
 
 
-#: Largest degree of the Taylor series of :func:`expm_hermitian_series`.
+#: Largest degree of the Taylor series of shaped slice exponentials.
 SERIES_DEGREE = 18
 
 #: SERIES_THETA[K - 1] = ((K + 1)! 2^-54)^(1 / (K + 1)): the largest theta for
@@ -173,69 +174,6 @@ SERIES_DEGREE = 18
 #: last entry, about 1.1, is the series radius.
 SERIES_THETA = tuple((math.factorial(k + 1) * 2.0 ** -54) ** (1.0 / (k + 1))
                      for k in range(1, SERIES_DEGREE + 1))
-
-
-def expm_hermitian_series(h: np.ndarray, t) -> np.ndarray:
-    """Batched exp(-i*h*t) over broadcast(h.shape[:-2], t.shape) by a Taylor series in h.
-
-    Each matrix of h is scaled by its largest entry, a = h / s with
-    s = max|h_ij|, and its powers a^k are taken once for all the times it
-    meets.  A point with theta = ||h||_F |t| sums the series in those powers
-    to the least degree K whose remainder is within 2^-53 (see
-    SERIES_THETA), and its coefficients (-i s t)^k / k! beyond K are exact
-    zeros.  The even and the odd terms are summed apart, in order of degree,
-    into sums that start at +0.  Such a sum never becomes -0, and adding an
-    exact zero changes no other value, so a point's bits depend on its own
-    theta, not on the degrees of the points around it.  Real symmetric h
-    takes real powers and real sums.  A point past the series radius,
-    theta > SERIES_THETA[-1], is taken from the spectral factors of
-    :func:`expm_hermitian_stack` instead, which are unitary for any t: each
-    generator with such a point is decomposed once, and each such point is
-    rebuilt from its factors on its own.
-
-    No validation: callers construct Hermitian stacks and finite times.
-    """
-    t = np.asarray(t, dtype=float)
-    n = h.shape[-1]
-    full = np.broadcast_shapes(h.shape[:-2], t.shape)
-    # a = h / max|h_ij| keeps every power finite, and theta = |t| ||h||_F
-    # squares no entry beyond 1
-    big = np.max(np.abs(h), axis=(-2, -1), initial=0.0)
-    a = h / np.where(big > 0.0, big, 1.0)[..., None, None]
-    tau = np.broadcast_to(t * big, full)
-    theta = np.abs(tau) * np.sqrt(np.sum((a * a.conj()).real, axis=(-2, -1)))
-    degree = np.searchsorted(SERIES_THETA, theta) + 1
-    series = degree <= SERIES_DEGREE
-    top = int(np.max(degree, where=series, initial=0))
-    even, odd = np.zeros(full + (n, n), dtype=a.dtype), np.zeros(full + (n, n), dtype=a.dtype)
-    step = np.where(series, tau, 0.0)
-    power, coef = a, step
-    for k in range(1, top + 1):
-        if k > 1:
-            power, coef = power @ a, coef * step / k
-        # u = even + i odd, and (-i)^k = i^(k % 2) (-1)^ceil(k/2)
-        term = np.where(degree >= k, -coef if (k + 1) // 2 % 2 else coef, 0.0)
-        acc = odd if k % 2 else even
-        acc += term[..., None, None] * power
-    even += np.eye(n)
-    if np.iscomplexobj(a):
-        u = even + 1j * odd
-    else:
-        u = np.empty(full + (n, n), dtype=complex)
-        u.real, u.imag = even, odd
-    if not np.all(series):
-        # each generator with a point past the radius is decomposed once, for
-        # all the times it meets, and each such point rebuilt on its own
-        gens = np.broadcast_to(h, full[len(full) - (h.ndim - 2):] + (n, n)).reshape(-1, n, n)
-        times = np.broadcast_to(t, full).reshape(-1, len(gens))
-        points = np.flatnonzero(~series)
-        row, gen = np.divmod(points, len(gens))
-        needed, which = np.unique(gen, return_inverse=True)
-        v, phase = expm_hermitian_stack(gens[needed], times[:, needed], factors=True)
-        v = v[which]
-        rebuilt = (v * phase[which, row][:, None, :]) @ v.conj().swapaxes(-1, -2)
-        u.reshape(-1, n, n)[points] = rebuilt
-    return u
 
 
 def unitarity_defect(u) -> float:

@@ -37,12 +37,18 @@ the unit of frequency):
   slices in Cayley-Klein form from their closed form and decomposes no
   generator.  On N + 1 > 2 levels the diagonal gauge G = diag(e^{i arg c_1},
   ..., e^{i arg c_N}, 1) makes every slice generator real symmetric, h =
-  G h_r G^dagger with h_r built on the moduli |c_k|.  Each distinct
-  (detuning, envelope sample) pair of a block then takes the real powers
-  of its h_r once, each area sums its exponential as a Taylor series in
-  them (:func:`comphr.linalg.expm_hermitian_series`), and the slice
-  product is conjugated back by G.  Like D(p) below, G is exact algebra on
-  the full propagator.
+  G h_r G^dagger with h_r = f C + Delta E built on the moduli |c_k|.  Its
+  exponential is then one polynomial in the envelope sample f, whose
+  matrix coefficients each (area, detuning) point sums once as a Taylor
+  series (:func:`slice_product`), and the slice product is conjugated back
+  by G.  Like D(p) below, G is exact algebra on the full propagator.
+
+* A real symmetric generator has a complex symmetric exponential, S^T = S,
+  and so does the SU(2) part of a two-level slice.  When the envelope
+  samples mirror, f_{m-1-k} = f_k, as those of a Gaussian do, the pulse of
+  m slices is therefore Q^T Q, or Q^T S_mid Q for odd m, with Q the product
+  of the first m // 2 slices: the kernel exponentiates and multiplies only
+  those.
 
 * On N + 1 levels a drive phase p acts through D(p) = diag(e^{ip}, ...,
   e^{ip}, 1), which is e^{ip} times the identity plus a rank-one term on the
@@ -68,7 +74,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import SERIAL_BLAS, expm_hermitian_series, expm_hermitian_stack, unitarity_defect
+from .linalg import (SERIAL_BLAS, SERIES_DEGREE, SERIES_THETA, expm_hermitian_stack,
+                     unitarity_defect)
 
 RECTANGULAR = "rectangular"
 GAUSSIAN = "gaussian"
@@ -220,8 +227,8 @@ def grid_chunks(rows: int, cols: int, dim: int, count: int):
     of a split column works on the column's generators again, so only a
     long column is split: a one-slice column beyond BLOCK_ELEMENTS and
     dim^3 elements, so that its O(dim^3) decomposition stays small beside
-    the range's train, and a column of several slices, which takes the
-    powers of up to `count` generators per range, beyond STACK_ELEMENTS.
+    the range's train, and a column of several slices, which builds its
+    slice polynomial again per range, beyond STACK_ELEMENTS.
     Both cuts are capped at STACK_ELEMENTS, and a range holds at least one
     row.
     """
@@ -253,40 +260,130 @@ def time_ordered_product(u: np.ndarray) -> np.ndarray:
     return u[..., 0, :, :]
 
 
-def slice_product(generators, samples, dt, elements_per_slice: int) -> np.ndarray:
-    """Time-ordered product exp(-i h_{m-1} dt) ... exp(-i h_0 dt) of the slices of `samples`.
+def slice_product(moduli, samples, count: int, det, t) -> np.ndarray:
+    """Pulses of `count` midpoint slices on a star system with real couplings `moduli`.
 
-    Slice k has the envelope sample samples[k], and `generators(values)`
-    returns the generators of the sample values `values` stacked on axis -3;
-    leading axes broadcast against `dt`, and `elements_per_slice` is the
-    size of one slice over those axes.  Slices are exponentiated in groups
-    within STACK_ELEMENTS elements, each group is multiplied by
-    :func:`time_ordered_product`, and the groups in time order.  A group
-    exponentiates only its distinct samples (np.unique), each by a Taylor
-    series in the powers of its generator (see
-    :func:`comphr.linalg.expm_hermitian_series`, which decomposes only the
-    generators of slices past the series radius), and gathers the slices from their
-    exponentials: equal samples have equal generators and so equal
-    exponentials, bit for bit.
+    Slice k of the point (row, col) is exp(-i dt h(f_k)), dt = t / count,
+    with the generator h(f) = f C + Delta E of :func:`_star_generators`: C
+    couples the ancilla to the manifold through moduli / 2, E projects on the
+    ancilla, and Delta = det[col].  `t` (rows, cols) holds the durations.
+    `samples` holds the envelope at the first len(samples) midpoints, and if
+    that is fewer than `count`, the later midpoints mirror them,
+    f_{count-1-k} = f_k.  The result is (rows, cols, n, n), the product of
+    the slices with the first acting first.
+
+    Each slice exponential is one polynomial in its sample (see
+    :func:`_slice_exponentials`).  The slices are taken in groups within
+    STACK_ELEMENTS elements, each group is multiplied by
+    :func:`time_ordered_product`, and the groups in time order.  A slice is
+    complex symmetric, as its generator is real symmetric, so mirrored
+    samples make the pulse Q^T Q, with Q the product of the first count // 2
+    slices, or Q^T S_mid Q for an odd count: half the slices and half the
+    product.
 
     The product then takes one Newton-Schulz step towards its polar factor,
-    u (3 - u^dagger u) / 2.  Each slice is unitary to round-off, and slices
-    of one sample share their round-off exactly, so it adds up over the
-    slices: to a unitarity defect of up to 5e-14 per 1000 slices of a
-    Gaussian N = 3 pulse.  The step removes that defect to first order and
-    moves the result by no more than the defect itself.  Only pulses of two
-    or more slices on N + 1 > 2 levels come here: the kernel reads a
-    one-slice pulse from its eigen-factors and multiplies out a two-level
-    pulse in closed form.
+    u (3 - u^dagger u) / 2.  Each slice is unitary to round-off, and the
+    round-off adds up over the slices: to a unitarity defect of up to 5e-14
+    per 1000 slices of a Gaussian N = 3 pulse.  The step removes that defect
+    to first order and moves the result by no more than the defect itself.
+    Only pulses of two or more slices on N + 1 > 2 levels come here: the
+    kernel reads a one-slice pulse from its eigen-factors and multiplies out
+    a two-level pulse in closed form.
     """
+    n = moduli.size + 1
+    exponentials = _slice_exponentials(moduli, det, t / count)
+    first = count // 2 if len(samples) < count else count
     u = None
-    for part in stack_chunks(len(samples), elements_per_slice):
-        values, index = np.unique(samples[part], return_inverse=True)
-        slices = np.take(expm_hermitian_series(generators(values), dt), index, axis=-3)
-        group = time_ordered_product(slices)
+    for part in stack_chunks(first, t.size * n * n):
+        group = time_ordered_product(exponentials(samples[part]))
         u = group if u is None else group @ u
-    eye = np.eye(u.shape[-1])
+    if first < count:
+        middle = u if count % 2 == 0 else exponentials(samples[first:])[..., 0, :, :] @ u
+        u = u.swapaxes(-1, -2) @ middle
+    eye = np.eye(n)
     return u @ (1.5 * eye - 0.5 * (u.conj().swapaxes(-1, -2) @ u))
+
+
+def _slice_exponentials(moduli, det, dt):
+    """exp(-i dt h(f)) over a grid of points, as one polynomial in the envelope sample f.
+
+    h(f) = f C + Delta E is the generator of :func:`slice_product` over the
+    columns' detunings `det` (cols,), and `dt` (rows, cols) holds the slice
+    durations.  Each column scales its generator by its largest entry at
+    the peak, s = max(max(moduli) / 2, |Delta|), so that a(f) = h(f) / s has
+    entries within 1 for 0 <= f <= 1, and takes the coefficients of the
+    powers a(f)^k = sum_j f^j P_kj once, by P_00 = I and
+    P_kj = (C / s) P_{k-1,j-1} + (Delta / s) E P_{k-1,j}, up to degree
+    SERIES_DEGREE.  With tau = s dt, a point's slices are then
+    exp(-i tau a(f)) = sum_j f^j Q_j, Q_j = sum_k (-i tau)^k / k! P_kj,
+    summed to the least degree K whose remainder is within 2^-53 at the
+    peak, theta = ||h(1)||_F dt (see linalg.SERIES_THETA).  ||h(f)||_F grows
+    with f, so that degree holds for every sample.  The coefficients beyond
+    K are exact zeros, and every contraction runs over all SERIES_DEGREE + 1
+    terms, each point on its own, so that a point's bits depend on its own
+    theta, not on the points around it.
+
+    Returns a function from samples f (g,) to the slices (rows, cols, g, n,
+    n): one (g x terms) @ (terms x 2n^2) product per point against the
+    Vandermonde matrix f^j of the samples, so equal samples give equal
+    slices, bit for bit.  A point past the series radius,
+    theta > SERIES_THETA[-1], takes every slice from the spectral factors of
+    :func:`expm_hermitian_stack` instead, which are unitary for any dt: the
+    generators of each column with such a point are decomposed once per
+    call, and each of its slices is rebuilt from its factors.
+    """
+    terms = SERIES_DEGREE + 1
+    n = moduli.size + 1
+    scale = np.maximum(0.5 * np.max(moduli), np.abs(det))
+    # P_kj = [C / s, (Delta / s) E] @ [P_{k-1,j-1}; P_{k-1,j}], one product per
+    # degree: p[:, k, j + 1] holds P_kj after a zero block, so that each
+    # stacked pair is a view of p
+    w = np.zeros((det.size, n, 2 * n))
+    w[:, :-1, n - 1] = w[:, n - 1, :n - 1] = 0.5 * moduli / scale[:, None]
+    w[:, -1, -1] = det / scale
+    p = np.zeros((det.size, terms, terms + 1, n, n))
+    p[:, 0, 1] = np.eye(n)
+    pairs = np.lib.stride_tricks.as_strided(p, (det.size, terms, terms, 2 * n, n), p.strides)
+    for k in range(1, terms):
+        p[:, k, 1:k + 2] = w[:, None] @ pairs[:, k - 1, :k + 1]
+    # theta = ||h(1)||_F dt, by hypot so that a large Delta cannot overflow
+    theta = np.abs(dt) * np.hypot(math.sqrt(0.5) * float(np.linalg.norm(moduli)), det)
+    past = theta > SERIES_THETA[-1]
+    degree = np.searchsorted(SERIES_THETA, theta) + 1
+    # tau^k / k! for k = 1 .. SERIES_DEGREE, zero beyond the point's degree and
+    # signed by (-i)^k = i^(k % 2) (-1)^ceil(k/2): the even terms sum the real
+    # part of Q_j and the odd ones its imaginary part
+    k = np.arange(1, terms)
+    term = np.cumprod(np.where(past, 0.0, dt * scale)[..., None] / k, axis=-1)
+    term *= np.where(k <= degree[..., None], np.where((k + 1) // 2 % 2, -1.0, 1.0), 0.0)
+    coef = np.zeros(dt.shape + (2, terms))
+    coef[..., 0, 0] = 1.0
+    coef[..., 0, 2::2], coef[..., 1, 1::2] = term[..., 1::2], term[..., 0::2]
+    parts = coef @ p.reshape(det.size, terms, (terms + 1) * n * n)
+    q = np.empty(dt.shape + (terms, n, n), dtype=complex)
+    q.real = parts[..., 0, n * n:].reshape(q.shape)
+    q.imag = parts[..., 1, n * n:].reshape(q.shape)
+    # Q_j as real rows of 2n^2, so that the complex slices are one real product
+    q = q.view(float).reshape(dt.shape + (terms, 2 * n * n))
+
+    def exponentials(samples):
+        # the powers f^j by repeated products, laid out (terms, g) so that
+        # each product is one pass over the samples
+        powers = np.empty((terms, samples.size))
+        powers[0] = 1.0
+        powers[1:] = samples
+        np.multiply.accumulate(powers, axis=0, out=powers)
+        u = (powers.T @ q).view(complex).reshape(dt.shape + (samples.size, n, n))
+        if np.any(past):
+            cols = np.flatnonzero(np.any(past, axis=0))
+            row, col = np.nonzero(past[:, cols])
+            v, phase = expm_hermitian_stack(_star_generators(moduli, samples, det[cols, None]),
+                                            dt[:, cols, None], factors=True)
+            v = v[col]
+            u[row, cols[col]] = (v * phase[col, :, row, None, :]) @ v.swapaxes(-1, -2)
+        return u
+
+    return exponentials
 
 
 def star_propagator(bright, pulse_phases, areas, detunings=0.0,
@@ -345,9 +442,10 @@ def _star_blocks(bright, pulse_phases, areas, detunings, shape: PulseShape, subs
     more).  A two-level pulse of several slices is multiplied out in closed
     form (:func:`_two_level_slices`) and rescaled to a unit row 0 after its
     train.  An (N+1)-level pulse of several slices is multiplied out by
-    :func:`slice_product` in the real gauge, one set of Taylor-series powers
-    per detuning and distinct sample, and its train takes one batched
-    matmul per pulse after the first.
+    :func:`slice_product` in the real gauge, one slice polynomial per grid
+    point, and its train takes one batched matmul per pulse after the
+    first.  Mirrored envelope samples (:func:`_midpoint_samples`) halve the
+    slices of both.
     """
     coupling = np.asarray(bright, dtype=complex).reshape(-1)
     norm = float(np.linalg.norm(coupling))
@@ -372,8 +470,11 @@ def _star_blocks(bright, pulse_phases, areas, detunings, shape: PulseShape, subs
         raise ValidationError(f"substeps must be an integer from 1 to {STACK_ELEMENTS}")
     dim = coupling.size + 1
     count = 1 if shape.kind == RECTANGULAR else int(substeps)
-    envelope = shape.envelope((np.arange(count) + 0.5) / count)
-    for rows, cols in grid_chunks(*areas.shape, dim, count):
+    envelope = _midpoint_samples(shape, count)
+    # a point of several slices on N + 1 > 2 levels also holds the
+    # SERIES_DEGREE + 1 terms of its slice polynomial
+    size = count if count == 1 or dim == 2 else max(count, SERIES_DEGREE + 1)
+    for rows, cols in grid_chunks(*areas.shape, dim, size):
         with SERIAL_BLAS:
             t, det = areas[rows, cols] / unit, detunings[cols]
             if count == 1:
@@ -386,19 +487,33 @@ def _star_blocks(bright, pulse_phases, areas, detunings, shape: PulseShape, subs
                     _eigenbasis_train(v, phase, phases, block)
             elif dim == 2:
                 block = np.empty(t.shape + (dim, dim), dtype=complex)
-                _two_level_train(*_two_level_slices(envelope, det, t), det * t, phases, block)
+                _two_level_train(*_two_level_slices(envelope, count, det, t), det * t, phases, block)
                 # the train adds its round-off to the slices'; a second rescale
                 # to a unit row 0 keeps the product unitary to round-off
                 block /= np.linalg.norm(block[..., 0, :], axis=-1)[..., None, None]
             else:
                 # G = diag(e^{i arg c}, 1) makes the generators real: h = G h_r G^dagger
                 # with h_r built on |c|, and G u G^dagger scales u[j, k] by g_j conj(g_k)
-                moduli = np.abs(coupling)
-                u = slice_product(lambda values: _star_generators(moduli, values, det[:, None]),
-                                  envelope, t[..., None] / count, t.size * dim * dim)
+                u = slice_product(np.abs(coupling), envelope, count, det, t)
                 g = np.append(np.exp(1j * np.angle(coupling)), 1.0)
                 block = _pulse_train(u * np.multiply.outer(g, g.conj()), phases)
         yield rows, cols, block
+
+
+def _midpoint_samples(shape: PulseShape, count: int) -> np.ndarray:
+    """The envelope at the midpoints (k + 1/2) / count of `count` slices, or its first half.
+
+    A Gaussian is mirror-symmetric, so only its first ceil(count / 2)
+    midpoints are evaluated, and the later ones are taken to mirror them
+    (evaluated, they would differ from the mirror by round-off).  Any other
+    envelope is evaluated at every midpoint, and only a table whose samples
+    mirror bit for bit is cut to its first half.
+    """
+    half = (count + 1) // 2
+    if shape.kind == GAUSSIAN:
+        return shape.envelope((np.arange(half) + 0.5) / count)
+    samples = shape.envelope((np.arange(count) + 0.5) / count)
+    return samples[:half] if np.array_equal(samples, samples[::-1]) else samples
 
 
 def _star_generators(coupling: np.ndarray, envelope, detunings) -> np.ndarray:
@@ -495,44 +610,58 @@ def _eigen_row(v, phase):
     return a, b
 
 
-def _two_level_slices(envelope, det, t):
-    """Row 0 (a, b), each (rows, cols), of two-level pulses of len(envelope) midpoint slices.
+def _two_level_slices(samples, count: int, det, t):
+    """Row 0 (a, b), each (rows, cols), of two-level pulses of `count` midpoint slices.
 
-    `envelope` holds the slice samples f_k, `det` (cols,) the detunings and
-    `t` (rows, cols) the durations, so a slice lasts dt = t / len(envelope).
-    Slice k is e^{-i Delta dt/2} times the SU(2) matrix of row 0
-    (cos(w_k dt) + i Delta s_k, -i f_k s_k), where w_k = sqrt(f_k^2 +
-    Delta^2)/2 and s_k = sin(w_k dt)/(2 w_k) = (dt/2) sinc(w_k dt/pi), which
-    stays finite at w_k = 0.  The SU(2) parts are multiplied in Cayley-Klein
-    form by pairwise tree reduction over the slice axis, as
-    :func:`time_ordered_product` does with matrices: a later (x2, y2) acting
-    on (x1, y1) gives (x2 x1 - y2 conj(y1), x2 y1 + y2 conj(x1)).  The product
-    is rescaled to |x|^2 + |y|^2 = 1, which takes out the round-off of its
-    slices, and the frames multiply out to e^{-i Delta t/2}.
+    `samples` holds the envelope f_k at the first len(samples) midpoints,
+    mirrored as in :func:`slice_product` if that is fewer than `count`;
+    `det` (cols,) holds the detunings and `t` (rows, cols) the durations, so
+    a slice lasts dt = t / count.  Slice k is e^{-i Delta dt/2} times the
+    SU(2) matrix of row 0 (cos(w_k dt) + i Delta s_k, -i f_k s_k), where
+    w_k = sqrt(f_k^2 + Delta^2)/2 and s_k = sin(w_k dt)/(2 w_k) =
+    (dt/2) sinc(w_k dt/pi), which stays finite at w_k = 0.  The SU(2) parts
+    are multiplied in Cayley-Klein form by pairwise tree reduction over the
+    slice axis, as :func:`time_ordered_product` does with matrices (see
+    :func:`_cayley_klein`).  Their y is purely imaginary, so each is
+    symmetric, and mirrored samples make the pulse Q^T Q, or Q^T S_mid Q for
+    an odd count, with Q = (x, y) the product of the first count // 2: its
+    row 0 is (x rx + conj(y) conj(ry), x ry - conj(y) conj(rx)), with
+    (rx, ry) = Q or S_mid Q.  The product is rescaled to |x|^2 + |y|^2 = 1,
+    which takes out the round-off of its slices, and the frames multiply
+    out to e^{-i Delta t/2}.
     """
-    dt = t[..., None] / envelope.size
-    angle = 0.5 * np.hypot(envelope, det[:, None]) * dt
+    dt = t[..., None] / count
+    angle = 0.5 * np.hypot(samples, det[:, None]) * dt
     s = 0.5 * dt * np.sinc(angle / np.pi)
-    x, y = np.cos(angle) + 1j * (det[:, None] * s), -1j * (envelope * s)
+    x, y = np.cos(angle) + 1j * (det[:, None] * s), -1j * (samples * s)
     del angle, s
-    # Every product takes named operands and writes a new array, as in
-    # _two_level_train, so a point's bits do not depend on its block.
+    first = count // 2 if samples.size < count else count
+    middle = x[..., first:], y[..., first:]
+    x, y = x[..., :first], y[..., :first]
     while x.shape[-1] > 1:
-        count = x.shape[-1]
-        even = count - count % 2
-        x1, y1, x2, y2 = x[..., 0:even:2], y[..., 0:even:2], x[..., 1:even:2], y[..., 1:even:2]
-        x1c, y1c = x1.conj(), y1.conj()
-        px, py = x2 * x1 - y2 * y1c, x2 * y1 + y2 * x1c
-        del x1c, y1c
-        if count % 2:  # the odd slice out acts after the last pair
-            lx, ly = x[..., -1], y[..., -1]
-            ox, oy = px[..., -1], py[..., -1]
-            oxc, oyc = ox.conj(), oy.conj()
-            px[..., -1], py[..., -1] = lx * ox - ly * oyc, lx * oy + ly * oxc
+        size = x.shape[-1]
+        even = size - size % 2
+        px, py = _cayley_klein(x[..., 1:even:2], y[..., 1:even:2], x[..., 0:even:2], y[..., 0:even:2])
+        if size % 2:  # the odd slice out acts after the last pair
+            px[..., -1], py[..., -1] = _cayley_klein(x[..., -1], y[..., -1], px[..., -1], py[..., -1])
         x, y = px, py
     x, y = x[..., 0], y[..., 0]
+    if first < count:
+        rx, ry = (x, y) if count % 2 == 0 else _cayley_klein(middle[0][..., 0], middle[1][..., 0], x, y)
+        xc, yc = x.conj(), y.conj()
+        x, y = x * rx + yc * ry.conj(), x * ry - yc * rx.conj()
     frame = np.exp(-0.5j * (det * t)) / np.hypot(np.abs(x), np.abs(y))
     return x * frame, y * frame
+
+
+def _cayley_klein(x2, y2, x1, y1):
+    """Row 0 of the SU(2) product of (x2, y2) acting after (x1, y1): (x2 x1 - y2 conj(y1), x2 y1 + y2 conj(x1)).
+
+    Every product takes named operands and writes a new array, as in
+    :func:`_two_level_train`, so a point's bits do not depend on its block.
+    """
+    x1c, y1c = x1.conj(), y1.conj()
+    return x2 * x1 - y2 * y1c, x2 * y1 + y2 * x1c
 
 
 def _two_level_train(a, b, phase_area, phases: tuple[float, ...], out: np.ndarray) -> None:

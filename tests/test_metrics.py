@@ -268,8 +268,8 @@ def test_a_long_scan_holds_one_kernel_block_besides_its_result():
 def record_stacks(monkeypatch):
     """Route expm_hermitian_stack through a recorder of the stacks it handles.
 
-    Both bindings are recorded: the kernel's in two_level, and the one in
-    linalg that expm_hermitian_series calls for slices past its radius.
+    Both bindings are recorded: the kernel's in two_level, which also takes
+    the shaped slices past the series radius, and the one in linalg.
     Returns the list of (matrices decomposed, elements of the result,
     factors flag) per call.  A factored call counts the rows * cols * n^2
     elements of the pulse train's working block that its eigenphases fill.
@@ -289,23 +289,24 @@ def record_stacks(monkeypatch):
 
 
 def generators_past_the_series_radius(grid, substeps):
-    """Generators of a Gaussian N-pod map of `substeps` slices with a slice past the series radius.
+    """Generators that a Gaussian N-pod map of `substeps` slices decomposes.
 
-    Counts the distinct (detuning, envelope sample) pairs for which some
-    area's slice has theta = ||h||_F dt above linalg.SERIES_THETA[-1]; a
-    unit-norm star generator has ||h||_F^2 = f^2 / 2 + Delta^2.
+    A point whose slice at the envelope's peak has theta = ||h(1)||_F dt
+    above linalg.SERIES_THETA[-1] takes every slice from spectral factors,
+    and each detuning with such a point decomposes its generator at each of
+    the ceil(substeps / 2) samples that the mirror leaves of the Gaussian's
+    midpoints; a unit-norm star generator has ||h(1)||_F^2 = 1/2 + Delta^2.
     """
-    shape = gaussian()
-    f = np.unique(shape.envelope((np.arange(substeps) + 0.5) / substeps))
-    dt = PI * grid.axis1.values() / shape.unit_integral() / substeps
-    norm = np.sqrt(0.5 * f ** 2 + grid.axis2.values()[:, None] ** 2)
-    return int(np.sum(np.any(dt[:, None, None] * norm > linalg.SERIES_THETA[-1], axis=0)))
+    dt = PI * grid.axis1.values() / gaussian().unit_integral() / substeps
+    norm = np.sqrt(0.5 + grid.axis2.values() ** 2)
+    columns = int(np.sum(np.any(dt[:, None] * norm > linalg.SERIES_THETA[-1], axis=0)))
+    return columns * ((substeps + 1) // 2)
 
 
 def test_each_scan_decomposes_each_detuning_once(monkeypatch):
     # Rectangular pulses are read from the eigen-factors of their one slice;
-    # shaped pulses decompose nothing but the (N+1)-level generators with a
-    # slice past the Taylor series' radius.
+    # shaped pulses decompose nothing but the (N+1)-level generators of the
+    # columns with a point past the Taylor series' radius.
     calls = record_stacks(monkeypatch)
     scan_2d(universal_phases(5, 2), PI, grid_2d(301))
     assert sum(n for n, _, _ in calls) == 301
@@ -320,20 +321,20 @@ def test_each_scan_decomposes_each_detuning_once(monkeypatch):
     assert sum(n for n, _, _ in calls) == 41
     assert all(factors for _, _, factors in calls)
     calls.clear()
-    # a shaped pulse on N + 1 > 2 levels sums a Taylor series for each
-    # distinct (detuning, envelope sample) pair and decomposes nothing ...
+    # a shaped pulse on N + 1 > 2 levels sums its slices as one envelope
+    # polynomial per point and decomposes nothing ...
     grid = ScanGrid(ScanAxis(AXIS_AREA, 0.0, 2.0, 5), ScanAxis(AXIS_DETUNING, -1.0, 1.0, 5))
     scan_2d(universal_phases(3, 1), PI, grid, system=random_system(3, seed=7, shape=gaussian()),
             substeps=200)
     assert generators_past_the_series_radius(grid, 200) == 0
     assert not calls
-    # ... but the generators with a slice past the series radius, each once:
-    # at 20 substeps, the 20 midpoints of a Gaussian take 14 values, since
-    # mirrored midpoints round to the same double
+    # ... but the generators of each detuning with a point past the series
+    # radius, each once: at 20 substeps, the mirror leaves 10 of the
+    # Gaussian's 20 midpoints
     scan_2d(universal_phases(3, 1), PI, grid_2d(3), system=random_system(3, seed=7, shape=gaussian()),
             substeps=20)
     past = generators_past_the_series_radius(grid_2d(3), 20)
-    assert 0 < past < 3 * 14
+    assert 0 < past <= 3 * 10
     assert sum(n for n, _, _ in calls) == past
     assert all(factors for _, _, factors in calls)
     calls.clear()
@@ -343,7 +344,7 @@ def test_each_scan_decomposes_each_detuning_once(monkeypatch):
     scan_2d(universal_phases(3, 1), PI, grid_2d(8), system=random_system(2, seed=7, shape=gaussian()),
             substeps=20)
     past = generators_past_the_series_radius(grid_2d(8), 20)
-    assert 0 < past < 8 * 14
+    assert 0 < past <= 8 * 10
     assert sum(n for n, _, _ in calls) == past
     assert all(factors for _, _, factors in calls)
     calls.clear()
@@ -355,10 +356,11 @@ def test_each_scan_decomposes_each_detuning_once(monkeypatch):
 
 def test_a_long_shaped_column_is_cut_once_the_way_the_kernel_cuts_it(monkeypatch):
     # With stacks of 2^13 elements the kernel takes a 600-area column of
-    # 20-slice 4-level pulses in ranges of 25 areas, and each range
-    # decomposes its generators past the series radius again (53 in all).
-    # The scan takes the same ranges: a cut at the one-slice size (512
-    # areas) before the kernel's would leave ranges that straddle it (60).
+    # 20-slice 4-level pulses in ranges of 25 areas, and each range with a
+    # point past the series radius decomposes its 10 mirrored generators
+    # again (180 in all).  The scan takes the same ranges: a cut at the
+    # one-slice size (512 areas) before the kernel's would leave ranges that
+    # straddle it (200).
     monkeypatch.setattr(two_level, "STACK_ELEMENTS", 1 << 13)
     system = random_system(3, seed=7, shape=gaussian())
     fam = universal_phases(3, 1)

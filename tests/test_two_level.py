@@ -481,23 +481,33 @@ def test_shaped_validation():
                 pulse(PI, shape=shape, substeps=bad)
 
 
+@pytest.mark.parametrize("mirrored", [False, True], ids=["full", "mirrored"])
 @pytest.mark.parametrize("substeps", [1, 2, 7, 1000])
-@pytest.mark.parametrize("stack_elements", [1 << 20, 27])
-def test_slice_product_matches_sequential_product(monkeypatch, substeps, stack_elements):
-    # 27 elements hold three 3x3 slices: groups of three (each with an odd
-    # element out) and, for 7 and 1000 slices, a one-slice tail group.  The
-    # slices draw their samples from 5 generators, so groups repeat samples.
+@pytest.mark.parametrize("stack_elements", [1 << 20, 54])
+def test_slice_product_matches_sequential_product(monkeypatch, substeps, stack_elements, mirrored):
+    # 54 elements hold three 3x3 slices of the two points: groups of three
+    # (each with an odd element out) and, for 7 and 1000 slices, a one-slice
+    # tail group.  The second point's slices are past the series radius up
+    # to 7 slices.  The samples are distinct: the round-off of the reference's
+    # spectral slices would add up over repeated ones (to 1.8e-13 over 1000
+    # slices of 5 values, where the kernel is within 2e-16 of a 30-digit
+    # product).
     monkeypatch.setattr(two_level, "STACK_ELEMENTS", stack_elements)
     rng = np.random.default_rng(substeps)
-    m = rng.standard_normal((5, 3, 3)) + 1j * rng.standard_normal((5, 3, 3))
-    h = 0.5 * (m + m.conj().swapaxes(-1, -2))
-    samples = rng.integers(0, 5, substeps)
-    dt = 0.37
-    u = two_level.slice_product(lambda values: h[values], samples, dt, 9)
-    expected = expm_hermitian(h[samples[0]], dt)
-    for k in samples[1:]:
-        expected = expm_hermitian(h[k], dt) @ expected
-    assert np.max(np.abs(u - expected)) <= 1e-13
+    moduli = rng.uniform(0.1, 1.0, 2)
+    moduli /= np.linalg.norm(moduli)
+    samples = rng.uniform(0.0, 1.0, substeps)
+    first = (substeps + 1) // 2 if mirrored else substeps
+    if mirrored:
+        samples[substeps - first:] = samples[:first][::-1]
+    det, t = np.array([0.4]), np.array([[2.2], [30.0]])
+    u = two_level.slice_product(moduli, samples[:first], substeps, det, t)
+    for point in range(2):
+        h = [two_level._star_generators(moduli, f, 0.4) for f in samples]
+        expected = np.eye(3)
+        for slice_generator in h:
+            expected = expm_hermitian(slice_generator, t[point, 0] / substeps) @ expected
+        assert np.max(np.abs(u[point, 0] - expected)) <= 1e-13
 
 
 #: Envelopes of the shaped reference tests: the benchmark's tabulated sin^2
@@ -536,3 +546,65 @@ def test_shaped_gates_on_n_levels_equal_the_slice_product_reference(shape):
         u = star_propagator(bright, phases, area, detuning, shape, 1000)
         reference = matmul_shaped_star_propagator(bright, phases, area, detuning, shape, 1000)
         assert np.max(np.abs(u - reference)) <= 1e-13
+
+
+#: Envelopes of the mirror tests, and how many slices each exponentiates at
+#: 2, 3, 7 and 1000 substeps: a Gaussian and a flat table mirror at every
+#: slice count, the first ceil(m / 2) slices; the triangle's midpoints mirror
+#: bit for bit only at 2 of these counts, and the sin^2 table's at none.
+MIRROR_SHAPES = {
+    "gaussian": (gaussian(), [1, 2, 4, 500]),
+    "flat": (tabulated([(0.0, 1.0), (1.0, 1.0)]), [1, 2, 4, 500]),
+    "triangle": (REFERENCE_SHAPES["triangle"], [1, 3, 7, 1000]),
+    "sin2": (SIN2, [2, 3, 7, 1000]),
+}
+
+
+@pytest.mark.parametrize("shape, exponentiated", MIRROR_SHAPES.values(), ids=MIRROR_SHAPES.keys())
+@pytest.mark.parametrize("bright", [(1.0,), random_system(3, seed=11).bright], ids=["N1", "N3"])
+def test_mirrored_envelopes_exponentiate_half_their_slices(monkeypatch, bright, shape,
+                                                          exponentiated):
+    # Each pulse is Q^T Q (Q^T S_mid Q for an odd count) when its samples
+    # mirror, and within 1e-13 of the reference, which multiplies every slice
+    # of every point; the 3 pi area at 2, 3 and 7 slices takes the N = 3
+    # slices past the series radius.  The flat table's reference is the
+    # rectangular pulse: the reference product rounds its 1000 equal slices
+    # alike, 2e-13 away at N = 3.
+    # (samples, count, ...) on two levels, (moduli, samples, count, ...) on more
+    name, at = ("_two_level_slices", 0) if len(bright) == 1 else ("slice_product", 1)
+    original, seen = getattr(two_level, name), set()
+
+    def spy(*args):
+        seen.add((args[at + 1], args[at].size))
+        return original(*args)
+
+    monkeypatch.setattr(two_level, name, spy)
+    phases = gate_sequence(universal_phases(5, 2), PI).pulse_phases
+    areas = np.array([[0.0], [0.9 * PI], [3 * PI]])
+    dets = np.array([0.0, 0.3, -0.3])
+    for substeps in (2, 3, 7, 1000):
+        u = star_propagator(bright, phases, areas, dets, shape, substeps)
+        if shape is MIRROR_SHAPES["flat"][0]:
+            reference = star_propagator(bright, phases, areas, dets)
+        else:
+            reference = matmul_shaped_star_propagator(bright, phases, areas, dets, shape, substeps)
+        assert np.max(np.abs(u - reference)) <= 1e-13
+    assert seen == set(zip((2, 3, 7, 1000), exponentiated))
+
+
+def test_an_n_level_gate_at_the_slice_limit_stays_within_its_stacks():
+    # STACK_ELEMENTS slices of one 4-level point: the Gaussian's mirrored
+    # half in groups of STACK_ELEMENTS / 16 slices, each group with its
+    # Vandermonde powers (0.6 stacks) and its slices (1 stack), a traced
+    # peak of 1.85 stacks.  The bound was fixed before the code ran; the
+    # Taylor-series path read 5.29 stacks.
+    phases = gate_sequence(universal_phases(5, 2), PI).pulse_phases
+    bright = random_system(3, seed=11).bright
+    tracemalloc.start()
+    try:
+        u = star_propagator(bright, phases, 1.1 * PI, 0.1, gaussian(), two_level.STACK_ELEMENTS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert unitarity_defect(u) <= 1e-14
+    assert peak <= 5.5 * 16 * two_level.STACK_ELEMENTS
