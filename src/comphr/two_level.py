@@ -299,7 +299,9 @@ def slice_product(moduli, samples, count: int, det, t) -> np.ndarray:
         u = group if u is None else group @ u
     if first < count:
         middle = u if count % 2 == 0 else exponentials(samples[first:])[..., 0, :, :] @ u
-        u = u.swapaxes(-1, -2) @ middle
+        # Q^T copied: numpy takes a product of an array's transpose with the
+        # array itself by syrk, whose bits differ between BLAS cores
+        u = u.swapaxes(-1, -2).copy() @ middle
     eye = np.eye(n)
     return u @ (1.5 * eye - 0.5 * (u.conj().swapaxes(-1, -2) @ u))
 
