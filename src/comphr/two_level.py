@@ -489,7 +489,8 @@ def _star_blocks(bright, pulse_phases, areas, detunings, shape: PulseShape, subs
                     _eigenbasis_train(v, phase, phases, block)
             elif dim == 2:
                 block = np.empty(t.shape + (dim, dim), dtype=complex)
-                _two_level_train(*_two_level_slices(envelope, count, det, t), det * t, phases, block)
+                row = _two_level_slices(envelope, count, det, t)
+                _two_level_train(*row, det * t, phases, block)
                 # the train adds its round-off to the slices'; a second rescale
                 # to a unit row 0 keeps the product unitary to round-off
                 block /= np.linalg.norm(block[..., 0, :], axis=-1)[..., None, None]
@@ -638,18 +639,20 @@ def _two_level_slices(samples, count: int, det, t):
     x, y = np.cos(angle) + 1j * (det[:, None] * s), -1j * (samples * s)
     del angle, s
     first = count // 2 if samples.size < count else count
-    middle = x[..., first:], y[..., first:]
+    mx, my = x[..., first:], y[..., first:]
     x, y = x[..., :first], y[..., :first]
     while x.shape[-1] > 1:
         size = x.shape[-1]
         even = size - size % 2
-        px, py = _cayley_klein(x[..., 1:even:2], y[..., 1:even:2], x[..., 0:even:2], y[..., 0:even:2])
+        px, py = _cayley_klein(x[..., 1:even:2], y[..., 1:even:2],
+                               x[..., 0:even:2], y[..., 0:even:2])
         if size % 2:  # the odd slice out acts after the last pair
-            px[..., -1], py[..., -1] = _cayley_klein(x[..., -1], y[..., -1], px[..., -1], py[..., -1])
+            px[..., -1], py[..., -1] = _cayley_klein(x[..., -1], y[..., -1],
+                                                     px[..., -1], py[..., -1])
         x, y = px, py
     x, y = x[..., 0], y[..., 0]
     if first < count:
-        rx, ry = (x, y) if count % 2 == 0 else _cayley_klein(middle[0][..., 0], middle[1][..., 0], x, y)
+        rx, ry = (x, y) if count % 2 == 0 else _cayley_klein(mx[..., 0], my[..., 0], x, y)
         xc, yc = x.conj(), y.conj()
         x, y = x * rx + yc * ry.conj(), x * ry - yc * rx.conj()
     frame = np.exp(-0.5j * (det * t)) / np.hypot(np.abs(x), np.abs(y))
@@ -657,7 +660,7 @@ def _two_level_slices(samples, count: int, det, t):
 
 
 def _cayley_klein(x2, y2, x1, y1):
-    """Row 0 of the SU(2) product of (x2, y2) acting after (x1, y1): (x2 x1 - y2 conj(y1), x2 y1 + y2 conj(x1)).
+    """Row 0 of (x2, y2) acting after (x1, y1) in SU(2): (x2 x1 - y2 conj(y1), x2 y1 + y2 conj(x1)).
 
     Every product takes named operands and writes a new array, as in
     :func:`_two_level_train`, so a point's bits do not depend on its block.
