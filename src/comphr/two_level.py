@@ -291,6 +291,12 @@ def slice_product(moduli, samples, count: int, det, t) -> np.ndarray:
     a two-level pulse in closed form.
     """
     n = moduli.size + 1
+    terms = t.shape[1] * (SERIES_DEGREE + 1) * n * n
+    if len(t) > 1 and len(t) * terms > STACK_ELEMENTS:
+        # under SERIES_DEGREE + 1 slices a point's slice polynomial outgrows
+        # its slices: a long column takes its rows in ranges within the stack
+        return np.concatenate([slice_product(moduli, samples, count, det, t[rows])
+                               for rows in stack_chunks(len(t), terms)])
     exponentials = _slice_exponentials(moduli, det, t / count)
     first = count // 2 if len(samples) < count else count
     u = None
@@ -317,7 +323,7 @@ def _slice_exponentials(moduli, det, dt):
     powers a(f)^k = sum_j f^j P_kj once, by P_00 = I and
     P_kj = (C / s) P_{k-1,j-1} + (Delta / s) E P_{k-1,j}, up to degree
     SERIES_DEGREE.  With tau = s dt, a point's slices are then
-    exp(-i tau a(f)) = sum_j f^j Q_j, Q_j = sum_k (-i tau)^k / k! P_kj,
+    S(f) = exp(-i tau a(f)) = sum_j f^j S_j, S_j = sum_k (-i tau)^k / k! P_kj,
     summed to the least degree K whose remainder is within 2^-53 at the
     peak, theta = ||h(1)||_F dt (see linalg.SERIES_THETA).  ||h(f)||_F grows
     with f, so that degree holds for every sample.  The coefficients beyond
@@ -354,19 +360,18 @@ def _slice_exponentials(moduli, det, dt):
     degree = np.searchsorted(SERIES_THETA, theta) + 1
     # tau^k / k! for k = 1 .. SERIES_DEGREE, zero beyond the point's degree and
     # signed by (-i)^k = i^(k % 2) (-1)^ceil(k/2): the even terms sum the real
-    # part of Q_j and the odd ones its imaginary part
+    # part of S_j and the odd ones its imaginary part
     k = np.arange(1, terms)
     term = np.cumprod(np.where(past, 0.0, dt * scale)[..., None] / k, axis=-1)
     term *= np.where(k <= degree[..., None], np.where((k + 1) // 2 % 2, -1.0, 1.0), 0.0)
-    coef = np.zeros(dt.shape + (2, terms))
+    coef = np.zeros(dt.shape + (terms, 2))
     coef[..., 0, 0] = 1.0
-    coef[..., 0, 2::2], coef[..., 1, 1::2] = term[..., 1::2], term[..., 0::2]
-    parts = coef @ p.reshape(det.size, terms, (terms + 1) * n * n)
-    q = np.empty(dt.shape + (terms, n, n), dtype=complex)
-    q.real = parts[..., 0, n * n:].reshape(q.shape)
-    q.imag = parts[..., 1, n * n:].reshape(q.shape)
-    # Q_j as real rows of 2n^2, so that the complex slices are one real product
-    q = q.view(float).reshape(dt.shape + (terms, 2 * n * n))
+    coef[..., 2::2, 0], coef[..., 1::2, 1] = term[..., 1::2], term[..., 0::2]
+    # with the degrees k last, the product with each point's coefficients
+    # puts the real and imaginary parts of S_j side by side: S_j is a row of
+    # n^2 complex numbers, or 2n^2 reals, and a group of slices one real product
+    p = p.transpose(0, 2, 3, 4, 1).reshape(det.size, (terms + 1) * n * n, terms)
+    poly = (p @ coef).reshape(dt.shape + (terms + 1, 2 * n * n))[..., 1:, :]
 
     def exponentials(samples):
         # the powers f^j by repeated products, laid out (terms, g) so that
@@ -375,7 +380,7 @@ def _slice_exponentials(moduli, det, dt):
         powers[0] = 1.0
         powers[1:] = samples
         np.multiply.accumulate(powers, axis=0, out=powers)
-        u = (powers.T @ q).view(complex).reshape(dt.shape + (samples.size, n, n))
+        u = (powers.T @ poly).view(complex).reshape(dt.shape + (samples.size, n, n))
         if np.any(past):
             cols = np.flatnonzero(np.any(past, axis=0))
             row, col = np.nonzero(past[:, cols])
@@ -473,10 +478,7 @@ def _star_blocks(bright, pulse_phases, areas, detunings, shape: PulseShape, subs
     dim = coupling.size + 1
     count = 1 if shape.kind == RECTANGULAR else int(substeps)
     envelope = _midpoint_samples(shape, count)
-    # a point of several slices on N + 1 > 2 levels also holds the
-    # SERIES_DEGREE + 1 terms of its slice polynomial
-    size = count if count == 1 or dim == 2 else max(count, SERIES_DEGREE + 1)
-    for rows, cols in grid_chunks(*areas.shape, dim, size):
+    for rows, cols in grid_chunks(*areas.shape, dim, count):
         with SERIAL_BLAS:
             t, det = areas[rows, cols] / unit, detunings[cols]
             if count == 1:
