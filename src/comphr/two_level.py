@@ -291,12 +291,12 @@ def slice_product(moduli, samples, count: int, det, t) -> np.ndarray:
     a two-level pulse in closed form.
     """
     n = moduli.size + 1
-    terms = t.shape[1] * (SERIES_DEGREE + 1) * n * n
-    if len(t) > 1 and len(t) * terms > STACK_ELEMENTS:
+    per_row = t.shape[1] * (SERIES_DEGREE + 1) * n * n
+    if len(t) > 1 and len(t) * per_row > STACK_ELEMENTS:
         # under SERIES_DEGREE + 1 slices a point's slice polynomial outgrows
         # its slices: a long column takes its rows in ranges within the stack
         return np.concatenate([slice_product(moduli, samples, count, det, t[rows])
-                               for rows in stack_chunks(len(t), terms)])
+                               for rows in stack_chunks(len(t), per_row)])
     exponentials = _slice_exponentials(moduli, det, t / count)
     first = count // 2 if len(samples) < count else count
     u = None

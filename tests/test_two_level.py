@@ -548,6 +548,28 @@ def test_shaped_gates_on_n_levels_equal_the_slice_product_reference(shape):
         assert np.max(np.abs(u - reference)) <= 1e-13
 
 
+def test_a_long_coarse_column_takes_its_slice_polynomials_in_ranges(monkeypatch):
+    # At 5 slices a 4-level point's slice polynomial (19 x 16 elements)
+    # outgrows its slices (5 x 16).  With stacks of 2^12 elements the kernel
+    # cuts a 60-area column into ranges of 51 and 9 areas, and the first
+    # range builds its polynomials in ranges of 13 areas: 5 in all, with the
+    # bits of the column in one piece.
+    phases = gate_sequence(universal_phases(5, 2), PI).pulse_phases
+    bright = random_system(3, seed=11).bright
+    areas = np.linspace(0.0, 2 * PI, 60)[:, None]
+    u = star_propagator(bright, phases, areas, 0.3, gaussian(), 5)
+    original, rows = two_level._slice_exponentials, []
+
+    def spy(moduli, det, dt):
+        rows.append(len(dt))
+        return original(moduli, det, dt)
+
+    monkeypatch.setattr(two_level, "_slice_exponentials", spy)
+    monkeypatch.setattr(two_level, "STACK_ELEMENTS", 1 << 12)
+    assert np.array_equal(star_propagator(bright, phases, areas, 0.3, gaussian(), 5), u)
+    assert rows == [13, 13, 13, 12, 9]
+
+
 #: Envelopes of the mirror tests, and how many slices each exponentiates at
 #: 2, 3, 7 and 1000 substeps: a Gaussian and a flat table mirror at every
 #: slice count, the first ceil(m / 2) slices; the triangle's midpoints mirror
