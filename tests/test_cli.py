@@ -618,7 +618,7 @@ def matmul_shaped_star_propagator(bright, pulse_phases, areas, detunings, shape,
 
 
 def series_star_propagator(bright, pulse_phases, areas, detunings, shape, substeps):
-    """A shaped (N+1)-level train by the kernel's former Taylor-series path, the reference for its digest.
+    """A shaped (N+1)-level train by the kernel's former Taylor-series path, its digest's reference.
 
     In the real gauge G = diag(e^{i arg c}, 1) every midpoint slice
     generator is built on the moduli |c|.  The slices are taken in groups of

@@ -502,8 +502,8 @@ def test_slice_product_matches_sequential_product(monkeypatch, substeps, stack_e
         samples[substeps - first:] = samples[:first][::-1]
     det, t = np.array([0.4]), np.array([[2.2], [30.0]])
     u = two_level.slice_product(moduli, samples[:first], substeps, det, t)
+    h = [two_level._star_generators(moduli, f, 0.4) for f in samples]
     for point in range(2):
-        h = [two_level._star_generators(moduli, f, 0.4) for f in samples]
         expected = np.eye(3)
         for slice_generator in h:
             expected = expm_hermitian(slice_generator, t[point, 0] / substeps) @ expected
