@@ -326,8 +326,9 @@ def _slice_exponentials(moduli, det, dt):
     S(f) = exp(-i tau a(f)) = sum_j f^j S_j, S_j = sum_k (-i tau)^k / k! P_kj,
     summed to the least degree K whose remainder is within 2^-53 at the
     peak, theta = ||h(1)||_F dt (see linalg.SERIES_THETA).  ||h(f)||_F grows
-    with f, so that degree holds for every sample.  The coefficients beyond
-    K are exact zeros, and every contraction runs over all SERIES_DEGREE + 1
+    with f, so that degree holds for every sample, and each slice adds the
+    identity last, so that no rounding of S_0 repeats over the slices of a
+    point.  The coefficients beyond K are exact zeros, and every contraction runs over all SERIES_DEGREE + 1
     terms, each point on its own, so that a point's bits depend on its own
     theta, not on the points around it.
 
@@ -364,8 +365,10 @@ def _slice_exponentials(moduli, det, dt):
     k = np.arange(1, terms)
     term = np.cumprod(np.where(past, 0.0, dt * scale)[..., None] / k, axis=-1)
     term *= np.where(k <= degree[..., None], np.where((k + 1) // 2 % 2, -1.0, 1.0), 0.0)
+    # The sums leave out the identity, which each slice adds last: S_0
+    # rounded once with it would repeat its rounding in every slice of a
+    # point, and the unitarity defect of a 1000-slice pulse grew 6-fold.
     coef = np.zeros(dt.shape + (terms, 2))
-    coef[..., 0, 0] = 1.0
     coef[..., 2::2, 0], coef[..., 1::2, 1] = term[..., 1::2], term[..., 0::2]
     # with the degrees k last, the product with each point's coefficients
     # puts the real and imaginary parts of S_j side by side: S_j is a row of
@@ -381,6 +384,8 @@ def _slice_exponentials(moduli, det, dt):
         powers[1:] = samples
         np.multiply.accumulate(powers, axis=0, out=powers)
         u = (powers.T @ poly).view(complex).reshape(dt.shape + (samples.size, n, n))
+        diagonal = np.einsum("...ii->...i", u)  # a view of u
+        diagonal += 1.0
         if np.any(past):
             cols = np.flatnonzero(np.any(past, axis=0))
             row, col = np.nonzero(past[:, cols])

@@ -383,7 +383,7 @@ GOLDEN_HR = [
     ("readme", ["--dump-config"],
      "1b48c5d8569194e18ad6cce73cd86012a95b5ad8d2b5ab45c876000811746861"),
     ("gaussian", ["--detuning", "0.3", "--substeps", "200"],
-     "de4b15be9a1dc24da82450f1bf40f4d89c0492dbc161d9ca93785b7555ea1327"),
+     "796bc40dca04c116c3a941a7dfb51a655416afb37798d59f9a75a981aecb1a40"),
     ("gaussian", ["--dump-config"],
      "0c419f8f1a114559ffd1dc4154f2660f7b6a6950d3322ff03f54a5d3ac897535"),
     ("tabulated", ["--dump-config"],
