@@ -618,7 +618,7 @@ def test_an_n_level_gate_at_the_slice_limit_stays_within_its_stacks():
     # STACK_ELEMENTS slices of one 4-level point: the Gaussian's mirrored
     # half in groups of STACK_ELEMENTS / 16 slices, each group with its
     # Vandermonde powers (0.6 stacks) and its slices (1 stack), a traced
-    # peak of 1.85 stacks.  The bound was fixed before the code ran; the
+    # peak of 1.86 stacks.  The bound was fixed before the code ran; the
     # Taylor-series path read 5.29 stacks.
     phases = gate_sequence(universal_phases(5, 2), PI).pulse_phases
     bright = random_system(3, seed=11).bright
