@@ -4,17 +4,12 @@ Matrices are plain numpy arrays of complex dtype.  Everything here is sized
 for systems with at most a few tens of levels: no sparsity, no iterative
 solvers.  Propagators are computed by spectral decomposition of the (tiny)
 Hermitian generator, which keeps them unitary to round-off for any time
-argument (:func:`expm_hermitian_stack`).  The short slices of shaped
-(N+1)-level pulses are summed as Taylor series instead, exact to round-off
-within the radius that SERIES_THETA sets (see
-:func:`comphr.two_level.slice_product`), and a slice past that radius is
-taken from the spectral decomposition.
+argument (:func:`expm_hermitian_stack`).
 """
 
 from __future__ import annotations
 
 import ctypes
-import math
 import threading
 
 import numpy as np
@@ -121,59 +116,23 @@ def expm_hermitian(h, t: float) -> np.ndarray:
     if not np.isfinite(t):
         raise ValidationError("time must be finite")
     with SERIAL_BLAS:
-        return expm_hermitian_stack(a, t)
+        v, phase = expm_hermitian_stack(a, t)
+        return (v * phase) @ v.conj().T
 
 
-def expm_hermitian_stack(h: np.ndarray, t, factors: bool = False):
-    """Batched exp(-i*h*t) over the leading axes of h (and of t, broadcast).
+def expm_hermitian_stack(h: np.ndarray, t):
+    """Eigen-factors of exp(-i*h*t) over the leading axes of h (and of t, broadcast).
 
-    The result has shape broadcast(h.shape[:-2], t.shape) + h.shape[-2:].
-    Each matrix of h is decomposed once, as v diag(w) v^dagger, and every
-    time that shares its decomposition is rebuilt in the same product: the
-    leading axes of t that h lacks are moved next to the matrix rows, so
-    each decomposition takes one (rows*n x n) @ (n x n) matmul,
-    v diag(e^{-iwt}) stacked over the rows times v^dagger, not one BLAS
-    call per n x n matrix.  Without such axes the row group has one member.
-    The program rebuilds one time per matrix (:func:`expm_hermitian`) or
-    takes the factors; the grouped rebuild serves the tests' reference
-    propagators.
-
-    With `factors` the exponentials are not rebuilt: the result is the pair
-    (v, phase), v the eigenvectors (shape h.shape) and phase = e^{-iwt} of
-    shape h.shape[:-2] + (rows, n), the row group flattened on axis -2.
+    Returns (v, phase): v the eigenvectors of each matrix of h (shape
+    h.shape), and phase = e^{-iwt} of its eigenvalues w, of shape
+    broadcast(t.shape, h.shape[:-2]) + (n,), so that each exponential is
+    v diag(phase) v^dagger.  Each matrix is decomposed once for all the
+    times it meets, and no exponential is rebuilt.
 
     No validation: callers construct Hermitian stacks.
     """
     w, v = np.linalg.eigh(h)
-    n = h.shape[-1]
-    t = np.asarray(t, dtype=float)
-    extra = max(t.ndim - (h.ndim - 2), 0)
-    rows, count = t.shape[:extra], math.prod(t.shape[:extra])
-    # the times of each decomposition's row group on the last axis, contiguous
-    # so that `scaled` is too and its reshape takes no copy of the stack
-    # (transpose, not np.moveaxis, whose overhead shows on single gates)
-    t = t.reshape((count,) + t.shape[extra:])
-    t = np.ascontiguousarray(t.transpose(tuple(range(1, t.ndim)) + (0,)))
-    phase = np.exp(-1j * t[..., None] * w[..., None, :])
-    if factors:
-        return v, phase
-    scaled = v[..., None, :, :] * phase[..., None, :]
-    u = scaled.reshape(scaled.shape[:-3] + (count * n, n)) @ v.conj().swapaxes(-1, -2)
-    u = u.reshape(u.shape[:-2] + (count, n, n))
-    lead = u.ndim - 3
-    u = u.transpose((lead,) + tuple(range(lead)) + (lead + 1, lead + 2))
-    return u.reshape(rows + u.shape[1:])
-
-
-#: Largest degree of the Taylor series of shaped slice exponentials.
-SERIES_DEGREE = 18
-
-#: SERIES_THETA[K - 1] = ((K + 1)! 2^-54)^(1 / (K + 1)): the largest theta for
-#: which the remainder of the degree-K series, at most twice its first term
-#: theta^(K+1) / (K+1)! when theta <= (K + 2) / 2, stays within 2^-53.  The
-#: last entry, about 1.1, is the series radius.
-SERIES_THETA = tuple((math.factorial(k + 1) * 2.0 ** -54) ** (1.0 / (k + 1))
-                     for k in range(1, SERIES_DEGREE + 1))
+    return v, np.exp(-1j * np.asarray(t, dtype=float)[..., None] * w)
 
 
 def unitarity_defect(u) -> float:

@@ -38,6 +38,7 @@ from .two_level import (
     RECTANGULAR,
     STACK_ELEMENTS,
     PulseShape,
+    _require_substeps,
     _star_generators,
     rectangular,
     star_propagator,
@@ -158,10 +159,15 @@ def pulse_propagator(sys: NPodSystem, area: float, pulse_phase: float = 0.0,
 
     Couplings are rescaled so the rms peak Rabi frequency is 1 and the
     duration carries the area.  Rectangular pulses use one exact exponential;
-    other envelopes use `substeps` midpoint slices.
+    other envelopes use `substeps` midpoint slices.  The drive phase and
+    `substeps` are checked as the kernel checks them, whatever the envelope
+    and the area.
     """
     if not np.isfinite(area) or area < 0.0:
         raise ValidationError("area must be finite and >= 0")
+    if not math.isfinite(float(pulse_phase)):
+        raise ValidationError("drive phase must be finite")
+    _require_substeps(substeps)
     if area == 0.0:
         return np.eye(sys.n_states + 1, dtype=complex)
     if sys.shape.kind != RECTANGULAR:

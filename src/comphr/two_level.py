@@ -74,8 +74,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import (SERIAL_BLAS, SERIES_DEGREE, SERIES_THETA, expm_hermitian_stack,
-                     unitarity_defect)
+from .linalg import SERIAL_BLAS, expm_hermitian_stack, unitarity_defect
 
 RECTANGULAR = "rectangular"
 GAUSSIAN = "gaussian"
@@ -203,6 +202,16 @@ STACK_ELEMENTS = 1 << 20
 #: cache.
 BLOCK_ELEMENTS = 1 << 15
 
+#: Largest degree of the Taylor series of shaped slice exponentials.
+SERIES_DEGREE = 18
+
+#: SERIES_THETA[K - 1] = ((K + 1)! 2^-54)^(1 / (K + 1)): the largest theta for
+#: which the remainder of the degree-K series, at most twice its first term
+#: theta^(K+1) / (K+1)! when theta <= (K + 2) / 2, stays within 2^-53.  The
+#: last entry, about 1.1, is the series radius.
+SERIES_THETA = tuple((math.factorial(k + 1) * 2.0 ** -54) ** (1.0 / (k + 1))
+                     for k in range(1, SERIES_DEGREE + 1))
+
 
 def stack_chunks(count: int, elements_each: int, budget: int | None = None):
     """Consecutive index ranges over `count` items of `elements_each` complex elements.
@@ -325,12 +334,12 @@ def _slice_exponentials(moduli, det, dt):
     SERIES_DEGREE.  With tau = s dt, a point's slices are then
     S(f) = exp(-i tau a(f)) = sum_j f^j S_j, S_j = sum_k (-i tau)^k / k! P_kj,
     summed to the least degree K whose remainder is within 2^-53 at the
-    peak, theta = ||h(1)||_F dt (see linalg.SERIES_THETA).  ||h(f)||_F grows
-    with f, so that degree holds for every sample, and each slice adds the
+    peak, theta = ||h(1)||_F dt (see SERIES_THETA).  ||h(f)||_F grows with
+    f, so that degree holds for every sample, and each slice adds the
     identity last, so that no rounding of S_0 repeats over the slices of a
-    point.  The coefficients beyond K are exact zeros, and every contraction runs over all SERIES_DEGREE + 1
-    terms, each point on its own, so that a point's bits depend on its own
-    theta, not on the points around it.
+    point.  The coefficients beyond K are exact zeros, and every contraction
+    runs over all SERIES_DEGREE + 1 terms, each point on its own, so that a
+    point's bits depend on its own theta, not on the points around it.
 
     Returns a function from samples f (g,) to the slices (rows, cols, g, n,
     n): one (g x terms) @ (terms x 2n^2) product per point against the
@@ -390,9 +399,9 @@ def _slice_exponentials(moduli, det, dt):
             cols = np.flatnonzero(np.any(past, axis=0))
             row, col = np.nonzero(past[:, cols])
             v, phase = expm_hermitian_stack(_star_generators(moduli, samples, det[cols, None]),
-                                            dt[:, cols, None], factors=True)
+                                            dt[:, cols, None])
             v = v[col]
-            u[row, cols[col]] = (v * phase[col, :, row, None, :]) @ v.swapaxes(-1, -2)
+            u[row, cols[col]] = (v * phase[row, col, :, None, :]) @ v.swapaxes(-1, -2)
         return u
 
     return exponentials
@@ -478,8 +487,7 @@ def _star_blocks(bright, pulse_phases, areas, detunings, shape: PulseShape, subs
     longest = float(np.max(areas, initial=0.0)) / unit
     if not math.isfinite(longest * (float(np.max(np.abs(detunings), initial=0.0)) + 1.0)):
         raise ValidationError("area x detuning is too large: the pulse phases overflow")
-    if not (1 <= substeps <= STACK_ELEMENTS and int(substeps) == substeps):
-        raise ValidationError(f"substeps must be an integer from 1 to {STACK_ELEMENTS}")
+    _require_substeps(substeps)
     dim = coupling.size + 1
     count = 1 if shape.kind == RECTANGULAR else int(substeps)
     envelope = _midpoint_samples(shape, count)
@@ -489,7 +497,7 @@ def _star_blocks(bright, pulse_phases, areas, detunings, shape: PulseShape, subs
             if count == 1:
                 block = np.empty(t.shape + (dim, dim), dtype=complex)
                 h = _star_generators(coupling, envelope, det[:, None])[:, 0]
-                v, phase = expm_hermitian_stack(h, t, factors=True)
+                v, phase = expm_hermitian_stack(h, t)
                 if dim == 2:
                     _two_level_train(*_eigen_row(v, phase), det * t, phases, block)
                 else:
@@ -508,6 +516,12 @@ def _star_blocks(bright, pulse_phases, areas, detunings, shape: PulseShape, subs
                 g = np.append(np.exp(1j * np.angle(coupling)), 1.0)
                 block = _pulse_train(u * np.multiply.outer(g, g.conj()), phases)
         yield rows, cols, block
+
+
+def _require_substeps(substeps) -> None:
+    """Reject a slice count that is not an integer from 1 to STACK_ELEMENTS, for any envelope."""
+    if not (1 <= substeps <= STACK_ELEMENTS and int(substeps) == substeps):
+        raise ValidationError(f"substeps must be an integer from 1 to {STACK_ELEMENTS}")
 
 
 def _midpoint_samples(shape: PulseShape, count: int) -> np.ndarray:
@@ -563,7 +577,7 @@ def _eigenbasis_train(v, phase, phases: tuple[float, ...], out: np.ndarray) -> N
     """:func:`_pulse_train` of a one-slice pulse, composed in the eigenbasis of its generator.
 
     `v` (cols, n, n) holds the eigenvectors of each detuning column's
-    generator and `phase` (cols, rows, n) the eigenphases e^{-iwt} of each
+    generator and `phase` (rows, cols, n) the eigenphases e^{-iwt} of each
     area, so the pulse at phase 0 is u0 = v L v^dagger, L = diag(phase).
     With e the ancilla unit vector, D(p) = e^{ip} I + (1 - e^{ip}) e e^T, so
     v^dagger D(p) v is e^{ip} I plus the rank-one term (1 - e^{ip}) r l,
@@ -582,8 +596,8 @@ def _eigenbasis_train(v, phase, phases: tuple[float, ...], out: np.ndarray) -> N
     column would round a point differently with the column's length and the
     point's place in it.
     """
-    cols, rows, n = phase.shape
-    lam = phase.transpose(0, 2, 1)[..., None]
+    rows, cols, n = phase.shape
+    lam = phase.transpose(1, 2, 0)[..., None]
     ell = v[:, -1:, :]
     r = v[:, -1, :, None, None].conj()
     first = v.conj().swapaxes(-1, -2)
@@ -607,16 +621,14 @@ def _eigenbasis_train(v, phase, phases: tuple[float, ...], out: np.ndarray) -> N
 def _eigen_row(v, phase):
     """Row 0 (a, b), each (rows, cols), of the one-slice two-level pulses v diag(phase) v^dagger.
 
-    `v` (cols, 2, 2) and `phase` (cols, rows, 2) are the eigen-factors of
+    `v` (cols, 2, 2) and `phase` (rows, cols, 2) are the eigen-factors of
     :func:`_eigenbasis_train`: a = |v00|^2 phase_0 + |v01|^2 phase_1 and
     b = v00 conj(v10) phase_0 + v01 conj(v11) phase_1.
     """
-    top, bottom = v[:, 0, :, None], v[:, 1, :, None]
+    top, bottom = v[:, 0], v[:, 1]
     weight, cross = (top * top.conj()).real, top * bottom.conj()
-    # the sums come in (cols, rows) order; copied into the grid's (rows, cols)
-    # order, every operand of the train shares one contiguous layout
-    a = (weight[:, 0] * phase[..., 0] + weight[:, 1] * phase[..., 1]).T.copy()
-    b = (cross[:, 0] * phase[..., 0] + cross[:, 1] * phase[..., 1]).T.copy()
+    a = weight[:, 0] * phase[..., 0] + weight[:, 1] * phase[..., 1]
+    b = cross[:, 0] * phase[..., 0] + cross[:, 1] * phase[..., 1]
     return a, b
 
 

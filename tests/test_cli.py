@@ -22,10 +22,9 @@ from comphr import (
     universal_phases,
 )
 from comphr.cli import main, parse_angle
-from comphr.linalg import expm_hermitian_stack
 from comphr.two_level import (_pulse_train, _star_generators, grid_chunks, stack_chunks,
                               time_ordered_product)
-from test_linalg import expm_hermitian_series
+from test_linalg import expm_hermitian_series, expm_hermitian_stack
 
 PI = math.pi
 

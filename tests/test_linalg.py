@@ -1,12 +1,13 @@
 """Kernel tests: Hermitian exponentials, Frobenius distance, unitarity diagnostics."""
 
+import math
 import warnings
 
 import numpy as np
 import pytest
 
-from comphr import Propagator2, ValidationError, expm_hermitian, unitarity_defect
-from comphr.linalg import SERIES_DEGREE, SERIES_THETA, expm_hermitian_stack
+from comphr import Propagator2, ValidationError, expm_hermitian, linalg, unitarity_defect
+from comphr.two_level import SERIES_DEGREE, SERIES_THETA
 
 from oracle import rk4_propagator
 
@@ -66,7 +67,51 @@ def test_expm_output_is_unitary():
         assert unitarity_defect(u) <= 1e-12
 
 
-@pytest.mark.parametrize("h_batch, t_shape", [
+def expm_hermitian_stack(h: np.ndarray, t, factors: bool = False):
+    """Batched exp(-i*h*t) over the leading axes of h (and of t, broadcast).
+
+    The package's former exponential, from before comphr.linalg's
+    expm_hermitian_stack returned only the factors: the reference of
+    rebuilt_pulses, reference_shortcut and matmul_shaped_star_propagator in
+    test_cli, of matmul_train in test_two_level and of expm_hermitian_series.
+
+    The result has shape broadcast(h.shape[:-2], t.shape) + h.shape[-2:].
+    Each matrix of h is decomposed once, as v diag(w) v^dagger, and every
+    time that shares its decomposition is rebuilt in the same product: the
+    leading axes of t that h lacks are moved next to the matrix rows, so
+    each decomposition takes one (rows*n x n) @ (n x n) matmul,
+    v diag(e^{-iwt}) stacked over the rows times v^dagger, not one BLAS
+    call per n x n matrix.  Without such axes the row group has one member.
+
+    With `factors` the exponentials are not rebuilt: the result is the pair
+    (v, phase), v the eigenvectors (shape h.shape) and phase = e^{-iwt} of
+    shape h.shape[:-2] + (rows, n), the row group flattened on axis -2.
+
+    No validation: callers construct Hermitian stacks.
+    """
+    w, v = np.linalg.eigh(h)
+    n = h.shape[-1]
+    t = np.asarray(t, dtype=float)
+    extra = max(t.ndim - (h.ndim - 2), 0)
+    rows, count = t.shape[:extra], math.prod(t.shape[:extra])
+    # the times of each decomposition's row group on the last axis, contiguous
+    # so that `scaled` is too and its reshape takes no copy of the stack
+    # (transpose, not np.moveaxis, whose overhead shows on single gates)
+    t = t.reshape((count,) + t.shape[extra:])
+    t = np.ascontiguousarray(t.transpose(tuple(range(1, t.ndim)) + (0,)))
+    phase = np.exp(-1j * t[..., None] * w[..., None, :])
+    if factors:
+        return v, phase
+    scaled = v[..., None, :, :] * phase[..., None, :]
+    u = scaled.reshape(scaled.shape[:-3] + (count * n, n)) @ v.conj().swapaxes(-1, -2)
+    u = u.reshape(u.shape[:-2] + (count, n, n))
+    lead = u.ndim - 3
+    u = u.transpose((lead,) + tuple(range(lead)) + (lead + 1, lead + 2))
+    return u.reshape(rows + u.shape[1:])
+
+
+#: Batch shapes of h and shapes of t for the stacked exponentials.
+STACK_SHAPES = [
     ((5,), (5,)),          # t has no axes that h lacks
     ((5,), (3, 5)),        # one extra leading axis: the area rows of a map
     ((5,), (2, 3, 5)),     # two extra leading axes
@@ -75,10 +120,13 @@ def test_expm_output_is_unitary():
     ((1,), (3, 5)),        # size-1 batch axes of h broadcast against t
     ((4, 1), (2, 4, 6)),
     ((4, 6), (1, 6)),
-])
+]
+
+
+@pytest.mark.parametrize("h_batch, t_shape", STACK_SHAPES)
 @pytest.mark.parametrize("dim", [2, 3, 4])
 def test_expm_stack_matches_per_matrix_calls(h_batch, t_shape, dim):
-    from comphr.linalg import SERIAL_BLAS, expm_hermitian_stack
+    from comphr.linalg import SERIAL_BLAS
 
     rng = np.random.default_rng(dim)
     h = np.empty(h_batch + (dim, dim), dtype=complex)
@@ -94,6 +142,29 @@ def test_expm_stack_matches_per_matrix_calls(h_batch, t_shape, dim):
             one = expm_hermitian_stack(hs[index], ts[index])
             assert np.array_equal(u[index], one)
             assert np.max(np.abs(u[index] - expm_hermitian(hs[index], ts[index]))) <= 1e-14
+
+
+@pytest.mark.parametrize("h_batch, t_shape", STACK_SHAPES)
+@pytest.mark.parametrize("dim", [2, 3, 4, 9])
+def test_expm_stack_factors_match_per_matrix_factors(h_batch, t_shape, dim):
+    # The package's primitive: the batched factors equal each matrix's own,
+    # bit for bit, and rebuild to expm_hermitian within 1e-14.
+    rng = np.random.default_rng(dim)
+    h = np.empty(h_batch + (dim, dim), dtype=complex)
+    for index in np.ndindex(h_batch):
+        h[index] = random_hermitian(rng, dim)
+    t = rng.uniform(-3.0, 3.0, t_shape)
+    grid = np.broadcast_shapes(h_batch, t_shape)
+    with linalg.SERIAL_BLAS:
+        v, phase = linalg.expm_hermitian_stack(h, t)
+        assert v.shape == h.shape and phase.shape == grid + (dim,)
+        hs, ts = np.broadcast_to(h, grid + (dim, dim)), np.broadcast_to(t, grid)
+        vs = np.broadcast_to(v, grid + (dim, dim))
+        for index in np.ndindex(grid):
+            one_v, one_phase = linalg.expm_hermitian_stack(hs[index], ts[index])
+            assert np.array_equal(vs[index], one_v) and np.array_equal(phase[index], one_phase)
+            u = (vs[index] * phase[index]) @ vs[index].conj().T
+            assert np.max(np.abs(u - expm_hermitian(hs[index], ts[index]))) <= 1e-14
 
 
 def expm_hermitian_series(h: np.ndarray, t) -> np.ndarray:
@@ -223,8 +294,6 @@ def test_non_finite_operator_is_rejected_before_any_product(check, value):
 
 
 def _blas_threads():
-    from comphr import linalg
-
     if linalg.SERIAL_BLAS._control is None:
         pytest.skip("numpy's BLAS is not OpenBLAS")
     return linalg.SERIAL_BLAS._control
@@ -249,17 +318,17 @@ def test_serial_blas_nests_and_restores_on_error():
 
 
 def test_propagator_kernels_run_on_one_blas_thread(monkeypatch):
-    from comphr import (AXIS_AREA, AXIS_DETUNING, ScanAxis, ScanGrid, bb_phases, linalg,
-                        random_system, scan_2d, two_level)
+    from comphr import (AXIS_AREA, AXIS_DETUNING, ScanAxis, ScanGrid, bb_phases, random_system,
+                        scan_2d, two_level)
 
     get, put = _blas_threads()
     before = get()
     seen = []
     original = linalg.expm_hermitian_stack
 
-    def spy(h, t, factors=False):
+    def spy(h, t):
         seen.append(get())
-        return original(h, t, factors)
+        return original(h, t)
 
     monkeypatch.setattr(two_level, "expm_hermitian_stack", spy)
     monkeypatch.setattr(linalg, "expm_hermitian_stack", spy)

@@ -270,18 +270,17 @@ def record_stacks(monkeypatch):
 
     Both bindings are recorded: the kernel's in two_level, which also takes
     the shaped slices past the series radius, and the one in linalg.
-    Returns the list of (matrices decomposed, elements of the result,
-    factors flag) per call.  A factored call counts the rows * cols * n^2
-    elements of the pulse train's working block that its eigenphases fill.
+    Returns the list of (matrices decomposed, elements) per call, counting
+    the rows * cols * n^2 elements of the pulse train's working block that
+    the eigenphases fill.
     """
     calls = []
     exponential = two_level.expm_hermitian_stack
 
-    def recorded(h, t, factors=False):
-        result = exponential(h, t, factors)
-        size = result[1].size * h.shape[-1] if factors else result.size
-        calls.append((math.prod(h.shape[:-2]), size, factors))
-        return result
+    def recorded(h, t):
+        v, phase = exponential(h, t)
+        calls.append((math.prod(h.shape[:-2]), phase.size * h.shape[-1]))
+        return v, phase
 
     monkeypatch.setattr(two_level, "expm_hermitian_stack", recorded)
     monkeypatch.setattr(linalg, "expm_hermitian_stack", recorded)
@@ -292,14 +291,14 @@ def generators_past_the_series_radius(grid, substeps):
     """Generators that a Gaussian N-pod map of `substeps` slices decomposes.
 
     A point whose slice at the envelope's peak has theta = ||h(1)||_F dt
-    above linalg.SERIES_THETA[-1] takes every slice from spectral factors,
+    above two_level.SERIES_THETA[-1] takes every slice from spectral factors,
     and each detuning with such a point decomposes its generator at each of
     the ceil(substeps / 2) samples that the mirror leaves of the Gaussian's
     midpoints; a unit-norm star generator has ||h(1)||_F^2 = 1/2 + Delta^2.
     """
     dt = PI * grid.axis1.values() / gaussian().unit_integral() / substeps
     norm = np.sqrt(0.5 + grid.axis2.values() ** 2)
-    columns = int(np.sum(np.any(dt[:, None] * norm > linalg.SERIES_THETA[-1], axis=0)))
+    columns = int(np.sum(np.any(dt[:, None] * norm > two_level.SERIES_THETA[-1], axis=0)))
     return columns * ((substeps + 1) // 2)
 
 
@@ -309,17 +308,14 @@ def test_each_scan_decomposes_each_detuning_once(monkeypatch):
     # columns with a point past the Taylor series' radius.
     calls = record_stacks(monkeypatch)
     scan_2d(universal_phases(5, 2), PI, grid_2d(301))
-    assert sum(n for n, _, _ in calls) == 301
-    assert all(factors for _, _, factors in calls)
+    assert sum(n for n, _ in calls) == 301
     calls.clear()
     scan_area([bb_phases(n) for n in (1, 3, 5, 9)], PI / 2, area_grid(161))
-    assert [n for n, _, _ in calls] == [1] * 4
-    assert all(factors for _, _, factors in calls)
+    assert [n for n, _ in calls] == [1] * 4
     calls.clear()
     grid = ScanGrid(ScanAxis(AXIS_AREA, 0.5, 1.5, 41), ScanAxis(AXIS_DETUNING, -1.0, 1.0, 41))
     scan_2d(universal_phases(5, 2), PI, grid, system=random_system(3, seed=7))
-    assert sum(n for n, _, _ in calls) == 41
-    assert all(factors for _, _, factors in calls)
+    assert sum(n for n, _ in calls) == 41
     calls.clear()
     # a shaped pulse on N + 1 > 2 levels sums its slices as one envelope
     # polynomial per point and decomposes nothing ...
@@ -335,8 +331,7 @@ def test_each_scan_decomposes_each_detuning_once(monkeypatch):
             substeps=20)
     past = generators_past_the_series_radius(grid_2d(3), 20)
     assert 0 < past <= 3 * 10
-    assert sum(n for n, _, _ in calls) == past
-    assert all(factors for _, _, factors in calls)
+    assert sum(n for n, _ in calls) == past
     calls.clear()
     # the kernel blocks whole detuning columns, so a shaped map split into
     # several blocks still decomposes each of those generators once
@@ -345,8 +340,7 @@ def test_each_scan_decomposes_each_detuning_once(monkeypatch):
             substeps=20)
     past = generators_past_the_series_radius(grid_2d(8), 20)
     assert 0 < past <= 8 * 10
-    assert sum(n for n, _, _ in calls) == past
-    assert all(factors for _, _, factors in calls)
+    assert sum(n for n, _ in calls) == past
     calls.clear()
     # a shaped two-level pulse is multiplied out in closed form
     scan_2d(universal_phases(3, 1), PI, grid_2d(8), system=NPodSystem((1.0,), (0.0,), gaussian()),
@@ -367,12 +361,12 @@ def test_a_long_shaped_column_is_cut_once_the_way_the_kernel_cuts_it(monkeypatch
     grid = ScanGrid(ScanAxis(AXIS_AREA, 0.0, 4.0, 600), ScanAxis(AXIS_DETUNING, 0.3, 0.5, 2))
     calls = record_stacks(monkeypatch)
     scan = scan_2d(fam, PI, grid, system=system, substeps=20).values
-    scanned = sum(n for n, _, _ in calls)
+    scanned = sum(n for n, _ in calls)
     calls.clear()
     u = star_propagator(system.bright, gate_sequence(fam, 2 * PI).pulse_phases,
                         PI * grid.axis1.values()[:, None], grid.axis2.values()[None, :],
                         system.shape, 20)
-    assert scanned == sum(n for n, _, _ in calls) > 0
+    assert scanned == sum(n for n, _ in calls) > 0
     target = householder_matrix(HouseholderTarget(system.bright, PI))
     assert np.array_equal(scan, np.linalg.norm(u[..., :3, :3] - target, axis=(-2, -1)))
 
@@ -408,14 +402,14 @@ def test_a_row_longer_than_one_chunk_is_split(monkeypatch):
     monkeypatch.setattr(two_level, "STACK_ELEMENTS", chunk)
     calls = record_stacks(monkeypatch)
     chunked, chunked_peak = traced_peak(lambda: scan_2d(fam, PI, grid, system=system))
-    assert max(size for _, size, _ in calls) <= chunk
+    assert max(size for _, size in calls) <= chunk
     # the result and the detuning axis, and at most 8 chunk-sized stacks besides
     held = chunked.values.nbytes + grid.axis2.values().nbytes
     assert chunked_peak <= held + 8 * 16 * chunk < whole_peak
     assert np.array_equal(chunked.values, whole.values)
     calls.clear()
     assert np.array_equal(scan_2d(fam, PI, grid).values, fast.values)
-    assert max(size for _, size, _ in calls) <= chunk
+    assert max(size for _, size in calls) <= chunk
 
 
 def test_scan_2d_validation():

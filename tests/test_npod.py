@@ -188,6 +188,24 @@ def test_pulse_propagator_rescales_to_unit_rms_peak():
     assert np.max(np.abs(u - star_propagator(sys.bright, (0.7,), 0.9 * PI, 0.3))) <= 1e-12
 
 
+@pytest.mark.parametrize("shape", [rectangular(), gaussian()], ids=["rectangular", "gaussian"])
+@pytest.mark.parametrize("area", [0.0, PI])
+@pytest.mark.parametrize("phase, substeps", [
+    (0.0, 0), (0.0, -3), (0.0, 2.5), (0.0, 10 ** 9), (0.0, STACK_ELEMENTS + 1),
+    (math.inf, 10), (-math.inf, 10), (math.nan, 10),
+])
+def test_pulse_propagator_checks_its_phase_and_substeps_as_the_kernel_does(shape, area, phase,
+                                                                           substeps):
+    # Rejected up front, before any numpy warning, whatever the envelope and
+    # the area: a rectangular pulse has no slices to count and a zero area
+    # returns the identity, but the kernel rejects these inputs for both.
+    sys = NPodSystem((3.0, 4.0), (0.0, 0.5), shape=shape, detuning=0.3)
+    with pytest.raises(ValidationError, match="drive phase" if substeps == 10 else "substeps"):
+        pulse_propagator(sys, area, phase, substeps)
+    with pytest.raises(ValidationError):
+        star_propagator(sys.bright, (phase,), area, sys.detuning, shape, substeps)
+
+
 def test_batched_propagator_matches_pulse_by_pulse_products():
     # Reference: one exponential of the phased generator per pulse and grid point.
     sys = random_system(3, seed=29)

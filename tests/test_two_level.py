@@ -23,9 +23,9 @@ from comphr import (
     universal_phases,
 )
 
-from comphr.linalg import expm_hermitian_stack
 from oracle import rk4_propagator, two_level_hamiltonian
 from test_cli import matmul_shaped_star_propagator, matmul_star_propagator
+from test_linalg import expm_hermitian_stack
 
 PI = np.pi
 
