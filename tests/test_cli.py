@@ -19,11 +19,13 @@ from comphr import (
     bb_phases,
     composite_phase_gate,
     gate_sequence,
+    rectangular,
     universal_phases,
 )
 from comphr.cli import main, parse_angle
-from comphr.two_level import (_pulse_train, _star_generators, grid_chunks, stack_chunks,
-                              time_ordered_product)
+from comphr.linalg import expm_hermitian_stack as eigen_factors
+from comphr.two_level import (_eigen_row, _midpoint_samples, _pulse_train, _star_generators,
+                              _two_level_slices, grid_chunks, stack_chunks, time_ordered_product)
 from test_linalg import expm_hermitian_series, expm_hermitian_stack
 
 PI = math.pi
@@ -580,6 +582,64 @@ def cayley_klein_star_propagator(bright, pulse_phases, areas, detunings=0.0, sha
     return u.reshape(grid + (2, 2))
 
 
+def flat_two_level_train(a, b, phase_area, phases, out):
+    """The kernel's two-level train of every pulse by its own phase, with the frame from Delta T.
+
+    Row 0 (a, b) of the pulse at phase 0 and its frame step e^{-i Delta T},
+    taken by exp from `phase_area` = Delta T, run through the train in
+    Cayley-Klein form, as kernel_shortcut's train does: each pulse, with
+    q = b e^{ip}, maps row 0 (x, y) to (a x - q g conj(y), a y + q g conj(x))
+    and the frame g to g e^{-i Delta T}.  Every product takes named
+    operands and writes a new array.  The product is written into `out`, of
+    shape (rows, cols, 2, 2).
+    """
+    step = np.exp(-1j * phase_area)
+    x, y, g = a, b * np.exp(1j * phases[0]), step
+    for p in phases[1:]:
+        qg = b * np.exp(1j * p)
+        qg = qg * g
+        xc, yc = x.conj(), y.conj()
+        x = a * x - qg * yc
+        y = a * y + qg * xc
+        del qg, xc, yc
+        g = g * step
+    xc, yc = x.conj(), y.conj()
+    out[..., 0, 0], out[..., 0, 1] = x, y
+    out[..., 1, 0], out[..., 1, 1] = -(g * yc), g * xc
+
+
+def flat_two_level_star_propagator(bright, pulse_phases, areas, detunings=0.0,
+                                   shape=rectangular(), substeps=1000):
+    """A two-level train of all its pulses, a gate's 2n among them, the reference of the gate half.
+
+    The kernel's two-level branches as they ran every train before a gate
+    ran its first composite only: a one-slice pulse takes row 0 of the
+    eigen-factors of its detuning's generator (_eigen_row), a pulse of
+    several slices the closed-form slice product (_two_level_slices), and
+    flat_two_level_train runs every pulse and rescales a shaped train to a
+    unit row 0 once more.  The areas are a scalar or a column, the
+    detunings a scalar or a row.
+    """
+    coupling = np.asarray(bright, dtype=complex).reshape(-1)
+    assert coupling.size == 1
+    coupling = coupling / np.linalg.norm(coupling)
+    a, d = np.asarray(areas, dtype=float), np.asarray(detunings, dtype=float)
+    grid = np.broadcast_shapes(a.shape, d.shape)
+    det = d.reshape(-1)
+    t = np.broadcast_to(a, grid).reshape(-1, det.size) / shape.unit_integral()
+    phases = tuple(float(p) for p in pulse_phases)
+    count = 1 if shape.kind == "rectangular" else int(substeps)
+    envelope = _midpoint_samples(shape, count)
+    out = np.empty(t.shape + (2, 2), dtype=complex)
+    if count == 1:
+        h = _star_generators(coupling, envelope, det[:, None])[:, 0]
+        flat_two_level_train(*_eigen_row(*eigen_factors(h, t)), det * t, phases, out)
+    else:
+        flat_two_level_train(*_two_level_slices(envelope, count, det, t), det * t, phases, out)
+        out /= np.linalg.norm(out[..., 0, :], axis=-1)[..., None, None]
+    return out.reshape(grid + (2, 2))
+
+
 def matmul_shaped_star_propagator(bright, pulse_phases, areas, detunings, shape, substeps):
     """A shaped train by the kernel's former slice-product path, the reference for shaped outputs.
 
@@ -786,6 +846,25 @@ def test_cayley_klein_shortcut_path_keeps_the_old_digests(tmp_path, capsys, monk
     code, _, _ = run(capsys, *SHORTCUT_SCANS[name][0], "--out", str(out))
     assert code == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == CAYLEY_KLEIN_CSV[name]
+
+
+#: sha256 of what the shortcut runs of GOLDEN_CSV wrote with the flat
+#: two-level train in the kernel's place; until a two-level gate ran its first
+#: composite only, and read its frame from the eigen-phases, the CLI wrote the
+#: same bytes.
+FLAT_TRAIN_CSV = {
+    "scan-area": "5858d9747016941c2b437f9e0804becde2f02eb3cb866e023b1094113cdd55f3",
+    "scan-2d": "212964d8f76e56e7cc7d86275e7c9ed69d5168a6164c49b537d9c3681ed0317a",
+}
+
+
+@pytest.mark.parametrize("name", sorted(FLAT_TRAIN_CSV))
+def test_flat_train_shortcut_path_keeps_the_old_digests(tmp_path, capsys, monkeypatch, name):
+    use_reference(monkeypatch, "metrics", flat_two_level_star_propagator)
+    out = tmp_path / "scan.csv"
+    code, _, _ = run(capsys, *SHORTCUT_SCANS[name][0], "--out", str(out))
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == FLAT_TRAIN_CSV[name]
 
 
 #: sha256 of what hr printed on the Gaussian N = 3 config of GOLDEN_HR with
