@@ -18,6 +18,9 @@ A phase gate diag(e^{i alpha/2}, e^{-i alpha/2}) is produced by running a
 composite pulse twice: first with its native phases phi_k, then with every
 phase offset to xi_k = phi_k + pi + alpha/2.  Each constituent pulse has
 nominal area pi; at the nominal point the gate is exact for any phase list.
+The second composite is the first conjugated by the drive phase s = pi +
+alpha/2, so the kernel runs a two-level gate's first composite only
+(:func:`_gate_blocks`).
 
 Phase bookkeeping: family phases are stored as exact rational multiples of pi
 (reduced modulo 2) and rendered to floats only when composing propagators;
@@ -31,13 +34,15 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import ValidationError, echo
 from .two_level import (
     DEFAULT_SUBSTEPS,
     Propagator2,
     PulseShape,
+    _star_blocks,
     rectangular,
-    star_propagator,
 )
 
 BROADBAND = "bb"
@@ -128,7 +133,12 @@ def universal_phases(n: int, variant: int = 1) -> PhaseList:
 
 @dataclass(frozen=True)
 class GateSequence:
-    """Gate of phase `alpha` on `base`: phases phi_1..phi_n, then xi_k = phi_k + pi + alpha/2."""
+    """Gate of phase `alpha` on `base`: phases phi_1..phi_n, then xi_k = phi_k + pi + alpha/2.
+
+    With U1 the first composite and D(p) = diag(e^{ip}, ..., e^{ip}, 1) the
+    drive phase p, the second block is D(s) U1 D(s)^dagger, s = pi +
+    alpha/2, and the gate is D(s) U1 D(s)^dagger U1.
+    """
 
     base: PhaseList
     alpha: float
@@ -158,7 +168,27 @@ def sequence_propagator(seq: GateSequence, area: float, detuning: float = 0.0,
     `area` and `detuning` are the dimensionless scan parameters A and
     Delta/Omega.  area = 0 degenerates to the identity.
     """
-    return Propagator2(star_propagator((1.0,), seq.pulse_phases, area, detuning, shape, substeps))
+    return Propagator2(_gate_propagator((1.0,), seq, area, detuning, shape, substeps))
+
+
+def _gate_blocks(bright, seq: GateSequence, areas, detunings, shape: PulseShape, substeps: int):
+    """The kernel's blocks of the gate `seq` over a grid, as ``two_level._star_blocks`` yields them.
+
+    The one path by which a gate reaches the kernel: its 2n pulse phases go
+    with the shift s = pi + alpha/2 of its second composite, so that a
+    two-level train runs the first composite only and an (N+1)-level train
+    runs all 2n phases as :attr:`GateSequence.pulse_phases` gives them.
+    """
+    return _star_blocks(bright, seq.pulse_phases, areas, detunings, shape, substeps,
+                        math.pi + 0.5 * seq.alpha)
+
+
+def _gate_propagator(bright, seq: GateSequence, area: float, detuning: float,
+                     shape: PulseShape, substeps: int) -> np.ndarray:
+    """The (N+1)x(N+1) propagator of the gate `seq` at one (area, detuning) point."""
+    ((_, _, u),) = _gate_blocks(bright, seq, np.full((1, 1), area, dtype=float),
+                                np.full(1, detuning, dtype=float), shape, substeps)
+    return u[0, 0]
 
 
 def composite_phase_gate(family: PhaseList, alpha: float, area: float,

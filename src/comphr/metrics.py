@@ -22,11 +22,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .composite import PhaseList, gate_sequence
+from .composite import PhaseList, _gate_blocks, gate_sequence
 from .errors import ValidationError
 from .linalg import require_square
 from .npod import HouseholderTarget, NPodSystem, householder_matrix
-from .two_level import DEFAULT_SUBSTEPS, STACK_ELEMENTS, _star_blocks
+from .two_level import DEFAULT_SUBSTEPS, STACK_ELEMENTS
 
 AXIS_AREA = "area_over_pi"
 AXIS_DETUNING = "detuning_over_omega"
@@ -83,18 +83,27 @@ class ScanResult:
     values: np.ndarray
 
     def to_csv(self, f) -> None:
-        """Write the CSV form (17 significant digits, deterministic byte-for-byte)."""
+        """Write the CSV form (17 significant digits, deterministic byte-for-byte).
+
+        `f` is a path, whose file gets the bytes as they are joined, or a
+        text stream, which gets them decoded.
+        """
         if isinstance(f, (str, bytes)) or hasattr(f, "__fspath__"):
-            with open(f, "w", encoding="utf-8", newline="") as handle:
-                self.to_csv(handle)
-            return
+            with open(f, "wb") as handle:
+                self._write_csv(handle.write)
+        else:
+            self._write_csv(lambda data: f.write(data.decode()))
+
+    def _write_csv(self, write) -> None:
+        """Pass the CSV form to `write` as bytes, the header and then blocks of lines."""
         xs = self.grid.axis1.values()[:, None]
         if self.grid.axis2 is None:
-            f.write(",".join(["A_over_pi"] + [f"F_{label}" for label in self.labels]) + "\n")
-            _write_lines(f, [xs, *self.values[:, :, None]])
+            labels = ",".join(["A_over_pi"] + [f"F_{label}" for label in self.labels])
+            write(f"{labels}\n".encode())
+            _write_lines(write, [xs, *self.values[:, :, None]])
         else:
-            f.write("A_over_pi,Delta_over_Omega,F\n")
-            _write_lines(f, [xs, self.grid.axis2.values()[None, :], self.values])
+            write(b"A_over_pi,Delta_over_Omega,F\n")
+            _write_lines(write, [xs, self.grid.axis2.values()[None, :], self.values])
 
     def csv_text(self) -> str:
         buf = io.StringIO()
@@ -217,8 +226,8 @@ def _decimal_digits(a: np.ndarray):
     return j, d, exact
 
 
-def _write_lines(f, fields: Sequence[np.ndarray]) -> None:
-    """Write one CSV line per point of the 2-D grid `fields` broadcast to, row by row.
+def _write_lines(write, fields: Sequence[np.ndarray]) -> None:
+    """Pass `write` one CSV line per point of the 2-D grid `fields` broadcast to, row by row.
 
     The lines go out in blocks of at most _CSV_ROWS: whole rows if a row is
     that short, else parts of one row.  A field given as one row or one
@@ -237,10 +246,10 @@ def _write_lines(f, fields: Sequence[np.ndarray]) -> None:
                 if kept[k][0] != at:
                     kept[k] = None, None  # frees the old text before the new one is made
                     kept[k] = at, _number_fields(a[at[0]:at[0] + height, at[1]:at[1] + width])
-            f.write(_joined_lines([text for _, text in kept]))
+            write(_joined_lines([text for _, text in kept]))
 
 
-def _joined_lines(texts: Sequence[np.ndarray]) -> str:
+def _joined_lines(texts: Sequence[np.ndarray]) -> bytearray:
     """The CSV lines of fields given as broadcasting arrays of _number_fields texts.
 
     Each line is built as the fields in _FIELD bytes, each followed by its
@@ -253,9 +262,7 @@ def _joined_lines(texts: Sequence[np.ndarray]) -> str:
     lines[..., -1, _FIELD] = ord("\n")
     for k, text in enumerate(texts):
         lines[..., k, :_FIELD] = text
-    text = buf.translate(None, b" ")
-    del lines, buf  # a block's padded lines and its decoded text are never held together
-    return text.decode("ascii")
+    return buf.translate(None, b" ")
 
 
 def infidelity(actual, target) -> float:
@@ -290,16 +297,16 @@ def _infidelity_map(family: PhaseList, hr_phase: float, system: NPodSystem, area
                     substeps: int = DEFAULT_SUBSTEPS) -> np.ndarray:
     """Infidelity of the system's manifold block at every (area, detuning) pair.
 
-    Each block of propagators the kernel yields (``two_level._star_blocks``)
-    is reduced to its distances at once, so a block and the temporaries of
+    Each block of propagators the kernel yields for the gate
+    (``composite._gate_blocks``) is reduced to its distances at once, so a block and the temporaries of
     its distances are all the scan holds besides its result.
     """
     n = system.n_states
     target = householder_matrix(HouseholderTarget(system.bright, hr_phase))
-    phases = gate_sequence(family, 2.0 * hr_phase).pulse_phases
+    seq = gate_sequence(family, 2.0 * hr_phase)
     values = np.empty((areas.size, dets.size))
     grid = np.broadcast_to(areas[:, None], values.shape)
-    for rows, cols, u in _star_blocks(system.bright, phases, grid, dets, system.shape, substeps):
+    for rows, cols, u in _gate_blocks(system.bright, seq, grid, dets, system.shape, substeps):
         values[rows, cols] = np.linalg.norm(u[..., :n, :n] - target, axis=(-2, -1))
     return values
 

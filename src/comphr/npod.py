@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .composite import GateSequence, PhaseList, gate_sequence
+from .composite import GateSequence, PhaseList, _gate_propagator, gate_sequence
 from .errors import ValidationError, echo
 from .linalg import expm_hermitian, require_square
 from .two_level import (
@@ -178,7 +178,7 @@ def pulse_propagator(sys: NPodSystem, area: float, pulse_phase: float = 0.0,
 def npod_propagator(sys: NPodSystem, seq: GateSequence, area: float,
                     substeps: int = DEFAULT_SUBSTEPS) -> np.ndarray:
     """Full-system propagator of a composite gate sequence (first pulse acts first)."""
-    return star_propagator(sys.bright, seq.pulse_phases, area, sys.detuning, sys.shape, substeps)
+    return _gate_propagator(sys.bright, seq, area, sys.detuning, sys.shape, substeps)
 
 
 def manifold_block(u) -> np.ndarray:
@@ -198,9 +198,9 @@ def composite_hr(sys: NPodSystem, family: PhaseList, hr_phase: float, area: floa
     (area = pi, detuning = 0) the result equals householder_matrix(v, hr_phase)
     with v the normalized coupling vector.
     """
-    phases = gate_sequence(family, 2.0 * hr_phase).pulse_phases
+    seq = gate_sequence(family, 2.0 * hr_phase)
     detuning = sys.detuning if detuning is None else float(detuning)
-    return manifold_block(star_propagator(sys.bright, phases, area, detuning, sys.shape, substeps))
+    return manifold_block(_gate_propagator(sys.bright, seq, area, detuning, sys.shape, substeps))
 
 
 def random_system(n_states: int, seed: int = 0, shape: PulseShape = rectangular()) -> NPodSystem:

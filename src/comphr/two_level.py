@@ -30,7 +30,16 @@ the unit of frequency):
   trains (Cayley-Klein form).  Its generator depends on the detuning
   alone, so the kernel decomposes each detuning once for all the areas of
   a block, and every train of one-slice pulses starts from those
-  eigen-factors without rebuilding the exponentials.
+  eigen-factors without rebuilding the exponentials.  The generator's
+  trace is Delta, so the eigenphases multiply to the frame step
+  e^{-i Delta T}.
+
+* A gate's second composite is its first, U1, with every drive phase
+  shifted by s = pi + alpha/2 (:class:`comphr.composite.GateSequence`),
+  which is D(s) U1 D(s)^dagger with D below, so the gate is
+  D(s) U1 D(s)^dagger U1.  A two-level gate multiplies out the n pulses of
+  U1 only and combines U1 with its shifted copy in closed form; an
+  (N+1)-level gate runs all 2n pulses.
 
 * A midpoint slice of a shaped two-level pulse is a rectangular pulse of
   Rabi frequency f, the envelope sample, so the kernel multiplies the
@@ -62,8 +71,10 @@ The single pulse above is ``star_propagator((1.0,), (phi,), A, Delta, shape,
 substeps)``, the N = 1 star system, and a rectangular pulse is one slice.
 The kernel, :func:`_star_blocks`, computes every propagator of the package
 except the single rectangular pulse of :func:`comphr.npod.pulse_propagator`:
-:func:`star_propagator` fills its result from the kernel's blocks, and the
-scans of :mod:`comphr.metrics` reduce each block to its distances.
+:func:`star_propagator` fills its result from the kernel's blocks, and so does
+a gate of :mod:`comphr.composite` and :mod:`comphr.npod`; the scans of
+:mod:`comphr.metrics` reduce each block to its distances.  Gates reach the
+kernel by ``comphr.composite._gate_blocks``.
 """
 
 from __future__ import annotations
@@ -427,7 +438,9 @@ def star_propagator(bright, pulse_phases, areas, detunings=0.0,
     passed, before they broadcast against the areas, as the columns of a
     rows x cols grid, which is filled from the blocks of :func:`_star_blocks`
     (an outer grid ``areas[:, None]``, ``detunings[None, :]`` has one column
-    per detuning).
+    per detuning).  Every pulse of the train is multiplied out: a gate takes
+    the kernel's gate path instead (``comphr.composite._gate_blocks``),
+    which multiplies out half of a two-level gate.
     """
     a, d = np.asarray(areas, dtype=float), np.asarray(detunings, dtype=float)
     grid = np.broadcast_shapes(a.shape, d.shape)
@@ -444,11 +457,17 @@ def star_propagator(bright, pulse_phases, areas, detunings=0.0,
     return out.reshape(grid + (dim, dim))
 
 
-def _star_blocks(bright, pulse_phases, areas, detunings, shape: PulseShape, substeps: int):
+def _star_blocks(bright, pulse_phases, areas, detunings, shape: PulseShape, substeps: int,
+                 shift: float | None = None):
     """The propagation kernel: (rows, cols, propagators) for each block of a grid of trains.
 
     The trains are those of :func:`star_propagator`, with the rms areas on a
-    rows x cols grid `areas` and the detunings (cols,) on its columns.  Every
+    rows x cols grid `areas` and the detunings (cols,) on its columns.  With
+    a `shift` s, the train is a gate of 2n pulses whose second composite is
+    its first shifted in phase by s, D(s) U1 D(s)^dagger (see
+    :class:`comphr.composite.GateSequence`): a two-level train then runs the
+    first n pulses only and combines them (:func:`_two_level_train`), and
+    an (N+1)-level train runs all 2n as passed.  Every
     input is checked before the first block, `substeps` (1..STACK_ELEMENTS
     whatever the envelope) and the finiteness of the longest duration times
     (max |Delta| + 1) among them.  The blocks are those :func:`grid_chunks`
@@ -462,7 +481,8 @@ def _star_blocks(bright, pulse_phases, areas, detunings, shape: PulseShape, subs
     (:func:`_two_level_train` on two levels, :func:`_eigenbasis_train` on
     more).  A two-level pulse of several slices is multiplied out in closed
     form (:func:`_two_level_slices`) and rescaled to a unit row 0 after its
-    train.  An (N+1)-level pulse of several slices is multiplied out by
+    train.  A two-level block is written as four contiguous planes, held as
+    a (rows, cols, 2, 2) view.  An (N+1)-level pulse of several slices is multiplied out by
     :func:`slice_product` in the real gauge, one slice polynomial per grid
     point, and its train takes one batched matmul per pulse after the
     first.  Mirrored envelope samples (:func:`_midpoint_samples`) halve the
@@ -489,26 +509,33 @@ def _star_blocks(bright, pulse_phases, areas, detunings, shape: PulseShape, subs
         raise ValidationError("area x detuning is too large: the pulse phases overflow")
     _require_substeps(substeps)
     dim = coupling.size + 1
+    if dim == 2 and shift is not None:
+        phases = phases[:len(phases) // 2]
     count = 1 if shape.kind == RECTANGULAR else int(substeps)
     envelope = _midpoint_samples(shape, count)
     for rows, cols in grid_chunks(*areas.shape, dim, count):
         with SERIAL_BLAS:
             t, det = areas[rows, cols] / unit, detunings[cols]
-            if count == 1:
+            if dim == 2:
+                block = np.empty((2, 2) + t.shape, dtype=complex).transpose(2, 3, 0, 1)
+                if count == 1:
+                    h = _star_generators(coupling, envelope, det[:, None])[:, 0]
+                    v, phase = expm_hermitian_stack(h, t)
+                    # the generator's trace is Delta, so its eigenphases
+                    # multiply to the frame step e^{-i Delta T}
+                    row, step = _eigen_row(v, phase), phase[..., 0] * phase[..., 1]
+                else:
+                    row = _two_level_slices(envelope, count, det, t)
+                    step = np.exp(-1j * (det * t))
+                _two_level_train(*row, step, phases, shift, block)
+                if count > 1:
+                    # the train adds its round-off to the slices'; a second
+                    # rescale to a unit row 0 keeps the product unitary
+                    block /= np.linalg.norm(block[..., 0, :], axis=-1)[..., None, None]
+            elif count == 1:
                 block = np.empty(t.shape + (dim, dim), dtype=complex)
                 h = _star_generators(coupling, envelope, det[:, None])[:, 0]
-                v, phase = expm_hermitian_stack(h, t)
-                if dim == 2:
-                    _two_level_train(*_eigen_row(v, phase), det * t, phases, block)
-                else:
-                    _eigenbasis_train(v, phase, phases, block)
-            elif dim == 2:
-                block = np.empty(t.shape + (dim, dim), dtype=complex)
-                row = _two_level_slices(envelope, count, det, t)
-                _two_level_train(*row, det * t, phases, block)
-                # the train adds its round-off to the slices'; a second rescale
-                # to a unit row 0 keeps the product unitary to round-off
-                block /= np.linalg.norm(block[..., 0, :], axis=-1)[..., None, None]
+                _eigenbasis_train(*expm_hermitian_stack(h, t), phases, block)
             else:
                 # G = diag(e^{i arg c}, 1) makes the generators real: h = G h_r G^dagger
                 # with h_r built on |c|, and G u G^dagger scales u[j, k] by g_j conj(g_k)
@@ -688,24 +715,29 @@ def _cayley_klein(x2, y2, x1, y1):
     return x2 * x1 - y2 * y1c, x2 * y1 + y2 * x1c
 
 
-def _two_level_train(a, b, phase_area, phases: tuple[float, ...], out: np.ndarray) -> None:
+def _two_level_train(a, b, step, phases: tuple[float, ...], shift: float | None,
+                     out: np.ndarray) -> None:
     """:func:`_pulse_train` of a two-level pulse by elementwise Cayley-Klein updates.
 
     `a` and `b` (rows, cols) are row 0 of the pulse at phase 0, u0 (from
     :func:`_eigen_row` for one slice, :func:`_two_level_slices` for
-    several), and `phase_area` (rows, cols) is Delta T.  The generator has
-    trace Delta, so u0 = f S with S in SU(2) and the frame
-    f = e^{-i Delta T / 2}.  A product of k pulses is then f^k times an SU(2)
-    matrix, fixed by its row 0 (x, y) and the frame g = f^{2k} =
-    e^{-i k Delta T}: its row 1 is (-g conj(y), g conj(x)).  Each pulse, with
-    q = b e^{ip}, maps row 0 to (a x - q g conj(y), a y + q g conj(x)) and g
-    to g e^{-i Delta T}.  The product is written into `out`, of shape
-    (rows, cols, 2, 2).
+    several), and `step` (rows, cols) is its frame step e^{-i Delta T}.  The
+    generator has trace Delta, so u0 = f S with S in SU(2) and the frame
+    f = e^{-i Delta T / 2}.  A product of k pulses is then f^k times an
+    SU(2) matrix, fixed by its row 0 (x, y) and the frame g = f^{2k} =
+    e^{-i k Delta T}: its row 1 is (-g conj(y), g conj(x)).  Each pulse,
+    with q = b e^{ip}, maps row 0 to (a x - q g conj(y), a y + q g conj(x))
+    and g to g e^{-i Delta T}.
+
+    With a `shift` s the train is a gate: its pulses, U1, are followed by
+    D(s) U1 D(s)^dagger, which scales U1[0, 1] by e^{is} and U1[1, 0] by
+    e^{-is}.  With q = g e^{is}, the gate's row 0 is
+    (x^2 - q |y|^2, y (x + q conj(x))) and its frame g^2.  The product is
+    written into `out`, of shape (rows, cols, 2, 2).
     """
     # Every product takes named operands and writes a new array.  numpy rounds
     # a complex product worked in place (or into a large temporary operand,
     # which it reuses) differently, so the bits would depend on the block size.
-    step = np.exp(-1j * phase_area)
     x, y, g = a, b * np.exp(1j * phases[0]), step
     for p in phases[1:]:
         qg = b * np.exp(1j * p)
@@ -716,5 +748,13 @@ def _two_level_train(a, b, phase_area, phases: tuple[float, ...], out: np.ndarra
         del qg, xc, yc
         g = g * step
     xc, yc = x.conj(), y.conj()
+    if shift is not None:
+        q = g * np.exp(1j * shift)
+        qx, qy = q * xc, q * yc
+        sum_x = x + qx
+        x, y = x * x - qy * y, y * sum_x
+        del q, qx, qy, sum_x
+        g = g * g
+        xc, yc = x.conj(), y.conj()
     out[..., 0, 0], out[..., 0, 1] = x, y
     out[..., 1, 0], out[..., 1, 1] = -(g * yc), g * xc

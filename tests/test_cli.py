@@ -339,16 +339,17 @@ def test_scan_area_deterministic_bytes(tmp_path, capsys):
 #: formatting, changes the digest.  All three digests fail with
 #: OPENBLAS_CORETYPE=Haswell, Sandybridge or Prescott: other BLAS kernels
 #: round some results differently in the last bit.
-#: The two shortcut digests were taken after the one-slice pulses of every N
-#: started from the eigen-factors; test_shortcut_scans_match_the_reference_path
-#: ties them to the two older paths.  The full-map digest was taken after
+#: The two shortcut digests were taken after a two-level gate ran its first
+#: composite only and read its frame from the eigen-phases;
+#: test_shortcut_scans_match_the_reference_path ties them to the three older
+#: paths, and FLAT_TRAIN_CSV holds the digests before.  The full-map digest was taken after
 #: rectangular (N+1)-level trains moved to the eigenbasis train;
 #: test_full_runs_match_the_matmul_path ties it to the matmul path.
 GOLDEN_CSV = [
     (["scan-area", "--n", "1,3,5,9", "--phi", "pi/2", "--points", "161"],
-     "5858d9747016941c2b437f9e0804becde2f02eb3cb866e023b1094113cdd55f3"),
+     "c3bb08a2434f46f3ece5c0f818234deb98d503453ea9056ccaacfa6a24abbb6b"),
     (["scan-2d", "--apoints", "11", "--dpoints", "11"],
-     "212964d8f76e56e7cc7d86275e7c9ed69d5168a6164c49b537d9c3681ed0317a"),
+     "ab577b7efe5c26b8568ffc55aeb7d46f1a3625785b3794e15744731ef7d0f875"),
     (["scan-2d", "--apoints", "11", "--dpoints", "11", "--full", "--N", "3", "--seed", "7"],
      "a004621221a8adbfd171a3b28c7b7b9e93084d23b2068e403244467e6cbee3aa"),
 ]
@@ -435,6 +436,17 @@ def kernel_shortcut(family, hr_phase, areas, detunings):
     return np.abs(u[..., 0, 0] - np.exp(1j * hr_phase))
 
 
+def flat_train_shortcut(family, hr_phase, areas, detunings):
+    """|u00 - e^{i phi}| of the flat two-level train of all 2n pulses on the whole grid.
+
+    The reference of the gate half: flat_two_level_star_propagator on the
+    gate's pulse phases, and the bright amplitude against e^{i phi} by np.abs.
+    """
+    phases = gate_sequence(family, 2.0 * hr_phase).pulse_phases
+    u = flat_two_level_star_propagator((1.0,), phases, areas, detunings)
+    return np.abs(u[..., 0, 0] - np.exp(1j * hr_phase))
+
+
 def reference_scan(families, hr_phase, grid, shortcut=reference_shortcut):
     """The ScanResult of a reference shortcut path on a 1D or 2D grid."""
     areas = grid.axis1.values() * PI
@@ -500,7 +512,7 @@ def test_shortcut_scans_match_the_reference_path(tmp_path, capsys, name):
     code, _, _ = run(capsys, *argv, "--out", str(out))
     assert code == 0
     rows = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
-    for shortcut in (reference_shortcut, kernel_shortcut):
+    for shortcut in (reference_shortcut, kernel_shortcut, flat_train_shortcut):
         reference = reference_scan(families, phi, grid, shortcut).values
         values = rows[:, 1:].T if grid.axis2 is None else rows[:, 2].reshape(reference.shape)
         assert np.max(np.abs(values - reference)) <= 1e-13
@@ -711,28 +723,34 @@ def series_star_propagator(bright, pulse_phases, areas, detunings, shape, subste
 
 
 def scan_blocks(propagator):
-    """A stand-in for the kernel's block generator that the scans take, running `propagator`.
+    """A stand-in for the kernel's gate blocks that the scans take, running `propagator`.
 
-    It calls `propagator` on the blocks that grid_chunks gives one slice on
-    N + 1 levels, with the block's areas as a column and its detunings as a
-    row: the calls the scans made before the kernel owned their loop.  A
-    scan's areas are the same along each row of its grid.
+    It calls `propagator` on the gate's pulse phases over the blocks that
+    grid_chunks gives one slice on N + 1 levels, with the block's areas as a
+    column and its detunings as a row: the calls the scans made before the
+    kernel owned their loop.  A scan's areas are the same along each row of
+    its grid.
     """
-    def blocks(bright, pulse_phases, areas, detunings, shape, substeps):
+    def blocks(bright, seq, areas, detunings, shape, substeps):
         for rows, cols in grid_chunks(*areas.shape, np.size(bright) + 1, 1):
-            yield rows, cols, propagator(bright, pulse_phases, areas[rows, :1], detunings[None, cols],
-                                         shape, substeps)
+            yield rows, cols, propagator(bright, seq.pulse_phases, areas[rows, :1],
+                                         detunings[None, cols], shape, substeps)
     return blocks
 
 
 def use_reference(monkeypatch, module, propagator):
     """Put the reference `propagator` in the kernel's place in comphr.`module`.
 
-    The scans of metrics take it through scan_blocks, and npod calls it as
-    star_propagator.
+    The scans of metrics take it through scan_blocks, and the gates of npod
+    call it on the gate's pulse phases at their one point.
     """
-    name, value = (("_star_blocks", scan_blocks(propagator)) if module == "metrics"
-                   else ("star_propagator", propagator))
+    if module == "metrics":
+        name, value = "_gate_blocks", scan_blocks(propagator)
+    else:
+        name = "_gate_propagator"
+
+        def value(bright, seq, area, detuning, shape, substeps):
+            return propagator(bright, seq.pulse_phases, area, detuning, shape, substeps)
     monkeypatch.setattr(importlib.import_module(f"comphr.{module}"), name, value)
 
 

@@ -7,16 +7,20 @@ import warnings
 import numpy as np
 import pytest
 
-from comphr import two_level
+from comphr import composite, two_level
 from comphr import (
+    NPodSystem,
     Propagator2,
     ValidationError,
     bb_phases,
+    composite_hr,
     expm_hermitian,
     gate_sequence,
     gaussian,
+    npod_propagator,
     random_system,
     rectangular,
+    sequence_propagator,
     star_propagator,
     tabulated,
     unitarity_defect,
@@ -24,7 +28,8 @@ from comphr import (
 )
 
 from oracle import rk4_propagator, two_level_hamiltonian
-from test_cli import matmul_shaped_star_propagator, matmul_star_propagator
+from test_cli import (flat_two_level_star_propagator, matmul_shaped_star_propagator,
+                      matmul_star_propagator)
 from test_linalg import expm_hermitian_stack
 
 PI = np.pi
@@ -630,3 +635,103 @@ def test_an_n_level_gate_at_the_slice_limit_stays_within_its_stacks():
         tracemalloc.stop()
     assert unitarity_defect(u) <= 1e-14
     assert peak <= 5.5 * 16 * two_level.STACK_ELEMENTS
+
+
+# --- gates: the first composite and its phase-shifted copy ----------------------
+
+def gate_grid(bright, seq, areas, dets, shape=rectangular(), substeps=1000):
+    """The gate `seq` over areas (rows, 1) x dets (cols,) by the kernel's gate path."""
+    grid = np.broadcast_to(areas, (len(areas), dets.size))
+    out = np.empty(grid.shape + (np.size(bright) + 1,) * 2, dtype=complex)
+    for rows, cols, block in composite._gate_blocks(bright, seq, grid, dets, shape, substeps):
+        out[rows, cols] = block
+    return out
+
+
+#: The ten shipped families.
+GATE_FAMILIES = ([bb_phases(n) for n in (1, 3, 5, 7, 9)]
+                 + [universal_phases(n, v) for n, v in ((3, 1), (5, 1), (5, 2), (7, 1), (7, 2))])
+GATE_SHAPES = {"rectangular": (rectangular(), 1)} | {
+    f"{name}-{substeps}": (shape, substeps)
+    for name, shape in (("gaussian", gaussian()), ("sin2", SIN2)) for substeps in (1, 2, 7, 1000)}
+
+
+@pytest.mark.parametrize("shape, substeps", GATE_SHAPES.values(), ids=GATE_SHAPES.keys())
+def test_gate_half_matches_the_flat_train(shape, substeps):
+    # every two-level gate: the ten families at three gate phases, against
+    # the train of all 2n pulses that ran every two-level gate before
+    areas = np.array([[0.0], [0.5 * PI], [PI], [1.1 * PI], [2 * PI], [3 * PI]])
+    dets = np.array([0.0, 0.1, -0.3, 2.0])
+    for fam in GATE_FAMILIES:
+        for alpha in (PI / 2, PI, 2 * PI):
+            seq = gate_sequence(fam, alpha)
+            u = gate_grid((1.0,), seq, areas, dets, shape, substeps)
+            reference = flat_two_level_star_propagator((1.0,), seq.pulse_phases, areas, dets,
+                                                       shape, substeps)
+            assert np.max(np.abs(u - reference)) <= 1e-13, (fam.label, alpha)
+
+
+@pytest.mark.parametrize("shape, rows, cols, substeps", [(rectangular(), 9, 4001, 1),
+                                                         (gaussian(), 21, 21, 50)],
+                         ids=["rect", "gauss"])
+def test_gate_half_bits_do_not_depend_on_the_block_budget(monkeypatch, shape, rows, cols,
+                                                          substeps):
+    # as test_output_bits_do_not_depend_on_the_block_budget, for the combine
+    # of the first composite with its phase-shifted copy
+    seq = gate_sequence(universal_phases(5, 2), 0.7)
+    areas = np.linspace(0.0, 2 * PI, rows)[:, None]
+    dets = np.linspace(-3.0, 3.0, cols)
+    grids = []
+    for budget in (64, two_level.BLOCK_ELEMENTS, two_level.STACK_ELEMENTS):
+        monkeypatch.setattr(two_level, "BLOCK_ELEMENTS", budget)
+        grids.append(gate_grid((1.0,), seq, areas, dets, shape, substeps))
+    assert all(np.array_equal(u, grids[0]) for u in grids[1:])
+
+
+@pytest.mark.parametrize("shape", [rectangular(), gaussian()], ids=["rect", "gauss"])
+def test_every_gate_caller_takes_the_gate_half(shape):
+    # the two-level gate of each caller is the gate path's point, bit for
+    # bit; an (N+1)-level gate keeps the flat train of all its 2n phases
+    fam, hr_phase, area, det = bb_phases(5), 0.6, 1.1 * PI, 0.2
+    seq = gate_sequence(fam, 2 * hr_phase)
+    point = gate_grid((1.0,), seq, np.array([[area]]), np.array([det]), shape, 40)[0, 0]
+    one = NPodSystem((2.0,), (0.0,), shape, det)
+    assert np.array_equal(sequence_propagator(seq, area, det, shape, 40).u, point)
+    assert np.array_equal(npod_propagator(one, seq, area, 40), point)
+    assert np.array_equal(composite_hr(one, fam, hr_phase, area, substeps=40), point[:1, :1])
+    three = random_system(3, seed=4, shape=shape)
+    flat = star_propagator(three.bright, seq.pulse_phases, area, 0.0, shape, 40)
+    assert np.array_equal(npod_propagator(three, seq, area, 40), flat)
+    assert np.array_equal(composite_hr(three, fam, hr_phase, area, substeps=40), flat[:3, :3])
+
+
+#: c of the frame bound c 2^-52 (1 + |Delta| T), fixed from an error budget
+#: before the test first ran.  In units of 2^-52: eigh's eigenvalues sum to
+#: Delta within about 4 ||h|| 2^-52, with ||h|| <= |Delta| + 1/2; rounding
+#: t w for both eigenvalues adds (|Delta| + 1) T / 2, the exps and their
+#: product 2, and the reference's Delta T and exp |Delta| T / 2 + 1/2, and
+#: reading the frame off the propagator 2 more.  That is about
+#: 5 |Delta| T + 2.5 T + 5, within 32 (1 + |Delta| T) for T <= 3 pi.  The
+#: eigenvalue error scales with ||h||, which is at least 1/2, not with
+#: |Delta|, so the bound needs T within the range of the scans' areas.
+FRAME_C = 32
+
+
+def test_the_frame_read_from_the_eigenphases_is_e_to_the_minus_i_delta_t():
+    # |Delta| T from 0 up to the kernel's overflow bound at the longest area,
+    # where T (|Delta| + 1) is the largest finite product below DBL_MAX
+    areas = np.array([[0.0], [1e-9], [0.5 * PI], [PI], [2 * PI], [3 * PI]])
+    top = np.nextafter(np.finfo(float).max / (3 * PI), 0.0) - 1.0
+    assert math.isfinite(3 * PI * (top + 1.0))
+    magnitudes = np.array([0.0, 1e-12, 1e-3, 0.3, 1.0, 2.0, 50.0, 1e6, 1e15, 1e100, 1e300, top])
+    dets = np.concatenate([magnitudes, -magnitudes[1:]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        u = star_propagator((1.0,), (0.0,), areas, dets)
+    # u = [[x, y], [-g conj(y), g conj(x)]], so det u = g (|x|^2 + |y|^2)
+    x, y = u[..., 0, 0], u[..., 0, 1]
+    frame = (x * u[..., 1, 1] - y * u[..., 1, 0]) / (np.abs(x) ** 2 + np.abs(y) ** 2)
+    phase_area = np.abs(dets) * areas
+    deviation = np.abs(frame - np.exp(-1j * (dets * areas)))
+    assert np.all(deviation <= FRAME_C * 2.0 ** -52 * (1.0 + phase_area))
+    assert np.all(frame[0] == 1.0)
