@@ -298,8 +298,9 @@ def _infidelity_map(family: PhaseList, hr_phase: float, system: NPodSystem, area
     """Infidelity of the system's manifold block at every (area, detuning) pair.
 
     Each block of propagators the kernel yields for the gate
-    (``composite._gate_blocks``) is reduced to its distances at once, so a block and the temporaries of
-    its distances are all the scan holds besides its result.
+    (``composite._gate_blocks``) is reduced to its distances at once, so a
+    block and the temporaries of its distances are all the scan holds
+    besides its result.
     """
     n = system.n_states
     target = householder_matrix(HouseholderTarget(system.bright, hr_phase))

@@ -482,10 +482,10 @@ def _star_blocks(bright, pulse_phases, areas, detunings, shape: PulseShape, subs
     more).  A two-level pulse of several slices is multiplied out in closed
     form (:func:`_two_level_slices`) and rescaled to a unit row 0 after its
     train.  A two-level block is written as four contiguous planes, held as
-    a (rows, cols, 2, 2) view.  An (N+1)-level pulse of several slices is multiplied out by
-    :func:`slice_product` in the real gauge, one slice polynomial per grid
-    point, and its train takes one batched matmul per pulse after the
-    first.  Mirrored envelope samples (:func:`_midpoint_samples`) halve the
+    a (rows, cols, 2, 2) view.  An (N+1)-level pulse of several slices is
+    multiplied out by :func:`slice_product` in the real gauge, one slice
+    polynomial per grid point, and its train takes one batched matmul per
+    pulse after the first.  Mirrored envelope samples (:func:`_midpoint_samples`) halve the
     slices of both.
     """
     coupling = np.asarray(bright, dtype=complex).reshape(-1)

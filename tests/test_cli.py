@@ -565,11 +565,10 @@ def cayley_klein_star_propagator(bright, pulse_phases, areas, detunings=0.0, sha
                                  substeps=None):
     """A rectangular two-level train by the kernel's rebuild path, the reference for its digests.
 
-    The train runs on row 0 (a, b) of the rebuilt phase-0 propagator (see
-    rebuilt_pulses) in Cayley-Klein form.  A product of k pulses is fixed by
-    its row 0 (x, y) and its frame g = e^{-i k Delta T}, its row 1 being
-    (-g conj(y), g conj(x)); each pulse, with q = b e^{ip}, maps row 0 to
-    (a x - q g conj(y), a y + q g conj(x)).  Every product takes named
+    flat_two_level_train runs on row 0 (a, b) of the rebuilt phase-0
+    propagator (see rebuilt_pulses) in Cayley-Klein form.  A product of k
+    pulses is fixed by its row 0 (x, y) and its frame g = e^{-i k Delta T},
+    its row 1 being (-g conj(y), g conj(x)).  Every product takes named
     operands and writes a new array, as the kernel's loop did: numpy rounds
     a complex product into a large temporary operand, which it reuses,
     differently.
@@ -577,20 +576,8 @@ def cayley_klein_star_propagator(bright, pulse_phases, areas, detunings=0.0, sha
     assert shape is None or shape.kind == "rectangular"
     u0, grid, t, dets = rebuilt_pulses(bright, areas, detunings)
     assert u0.shape[-1] == 2
-    a, b = u0[..., 0, 0].copy(), u0[..., 0, 1].copy()
-    step = np.exp(-1j * (dets * t))
-    x, y, g = a, b * np.exp(1j * pulse_phases[0]), step
-    for p in pulse_phases[1:]:
-        qg = b * np.exp(1j * p)
-        qg = qg * g
-        xc, yc = x.conj(), y.conj()
-        x = a * x - qg * yc
-        y = a * y + qg * xc
-        g = g * step
-    xc, yc = x.conj(), y.conj()
-    u = np.empty(a.shape + (2, 2), dtype=complex)
-    u[..., 0, 0], u[..., 0, 1] = x, y
-    u[..., 1, 0], u[..., 1, 1] = -(g * yc), g * xc
+    u = np.empty_like(u0)
+    flat_two_level_train(u0[..., 0, 0].copy(), u0[..., 0, 1].copy(), dets * t, pulse_phases, u)
     return u.reshape(grid + (2, 2))
 
 
@@ -599,11 +586,10 @@ def flat_two_level_train(a, b, phase_area, phases, out):
 
     Row 0 (a, b) of the pulse at phase 0 and its frame step e^{-i Delta T},
     taken by exp from `phase_area` = Delta T, run through the train in
-    Cayley-Klein form, as kernel_shortcut's train does: each pulse, with
-    q = b e^{ip}, maps row 0 (x, y) to (a x - q g conj(y), a y + q g conj(x))
-    and the frame g to g e^{-i Delta T}.  Every product takes named
-    operands and writes a new array.  The product is written into `out`, of
-    shape (rows, cols, 2, 2).
+    Cayley-Klein form: each pulse, with q = b e^{ip}, maps row 0 (x, y) to
+    (a x - q g conj(y), a y + q g conj(x)) and the frame g to
+    g e^{-i Delta T}.  Every product takes named operands and writes a new
+    array.  The product is written into `out`, of shape (rows, cols, 2, 2).
     """
     step = np.exp(-1j * phase_area)
     x, y, g = a, b * np.exp(1j * phases[0]), step
