@@ -22,7 +22,9 @@ from comphr import (
     rectangular,
     universal_phases,
 )
+from comphr import composite, metrics
 from comphr.cli import main, parse_angle
+from comphr.linalg import SERIAL_BLAS
 from comphr.linalg import expm_hermitian_stack as eigen_factors
 from comphr.two_level import (_eigen_row, _midpoint_samples, _pulse_train, _star_generators,
                               _two_level_slices, grid_chunks, stack_chunks, time_ordered_product)
@@ -889,6 +891,107 @@ def test_shaped_hr_matches_the_series_path(tmp_path, capsys, monkeypatch):
     use_reference(monkeypatch, "npod", series_star_propagator)
     reference = computed_values(shaped_hr_output(tmp_path, capsys), "hr")
     assert np.max(np.abs(values - reference)) <= 1e-13
+
+
+def linspace_values(axis):
+    """ScanAxis.values as np.linspace on every range, as it was before symmetric ranges mirrored."""
+    return np.linspace(axis.start, axis.stop, int(axis.points))
+
+
+def use_linspace_axes(monkeypatch):
+    """Give every ScanAxis the np.linspace values of the program an archived digest was taken by."""
+    monkeypatch.setattr(ScanAxis, "values", linspace_values)
+
+
+def gate_half_train(a, b, step, phases, shift, out):
+    """The kernel's two-level train of a gate's first composite and its combine, the gate half.
+
+    Row 0 (a, b) of the pulse at phase 0 and its frame step run through the
+    first composite in Cayley-Klein form, and with q = g e^{is} the gate's
+    row 0 is (x^2 - q |y|^2, y (x + q conj(x))) and its frame g^2.  Every
+    product takes named operands and writes a new array.  The product is
+    written into `out`, of shape (rows, cols, 2, 2).
+    """
+    x, y, g = a, b * np.exp(1j * phases[0]), step
+    for p in phases[1:]:
+        qg = b * np.exp(1j * p)
+        qg = qg * g
+        xc, yc = x.conj(), y.conj()
+        x = a * x - qg * yc
+        y = a * y + qg * xc
+        del qg, xc, yc
+        g = g * step
+    xc, yc = x.conj(), y.conj()
+    if shift is not None:
+        q = g * np.exp(1j * shift)
+        qx, qy = q * xc, q * yc
+        sum_x = x + qx
+        x, y = x * x - qy * y, y * sum_x
+        del q, qx, qy, sum_x
+        g = g * g
+        xc, yc = x.conj(), y.conj()
+    out[..., 0, 0], out[..., 0, 1] = x, y
+    out[..., 1, 0], out[..., 1, 1] = -(g * yc), g * xc
+
+
+def gate_half_blocks(bright, seq, areas, detunings, shape, substeps):
+    """The kernel's gate blocks as they ran every two-level gate column, the reference of the mirror.
+
+    The two-level branches of the kernel before a column was read from its
+    mirrored partner: every column's first composite runs through
+    gate_half_train on row 0 of a one-slice pulse's eigen-factors
+    (_eigen_row), or of the closed-form slice product (_two_level_slices),
+    which is rescaled to a unit row 0 once more after the train.  An
+    (N+1)-level gate takes the kernel's blocks, whose (N+1)-level branches
+    the mirror left as they were.
+    """
+    if np.size(bright) > 1:
+        yield from composite._gate_blocks(bright, seq, areas, detunings, shape, substeps)
+        return
+    coupling = np.asarray(bright, dtype=complex).reshape(-1)
+    coupling = coupling / float(np.linalg.norm(coupling))
+    shift = math.pi + 0.5 * seq.alpha
+    phases = tuple(float(p) for p in seq.pulse_phases)
+    phases = phases[:len(phases) // 2]
+    unit = shape.unit_integral()
+    count = 1 if shape.kind == "rectangular" else int(substeps)
+    envelope = _midpoint_samples(shape, count)
+    for rows, cols in grid_chunks(*areas.shape, 2, count):
+        with SERIAL_BLAS:
+            t, det = areas[rows, cols] / unit, detunings[cols]
+            block = np.empty((2, 2) + t.shape, dtype=complex).transpose(2, 3, 0, 1)
+            if count == 1:
+                h = _star_generators(coupling, envelope, det[:, None])[:, 0]
+                v, phase = eigen_factors(h, t)
+                row, step = _eigen_row(v, phase), phase[..., 0] * phase[..., 1]
+            else:
+                row = _two_level_slices(envelope, count, det, t)
+                step = np.exp(-1j * (det * t))
+            gate_half_train(*row, step, phases, shift, block)
+            if count > 1:
+                block /= np.linalg.norm(block[..., 0, :], axis=-1)[..., None, None]
+        yield rows, cols, block
+
+
+#: sha256 of what the map runs of GOLDEN_CSV wrote with the gate-half
+#: reference in the kernel's place and np.linspace axes; until a two-level
+#: gate column was read from its mirrored partner, and a range symmetric
+#: about zero was made bit-symmetric, the CLI wrote the same bytes.
+GATE_HALF_CSV = {
+    "scan-2d": "ab577b7efe5c26b8568ffc55aeb7d46f1a3625785b3794e15744731ef7d0f875",
+    "scan-2d-full": "a004621221a8adbfd171a3b28c7b7b9e93084d23b2068e403244467e6cbee3aa",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GATE_HALF_CSV))
+def test_gate_half_path_keeps_the_old_digests(tmp_path, capsys, monkeypatch, name):
+    use_linspace_axes(monkeypatch)
+    monkeypatch.setattr(metrics, "_gate_blocks", gate_half_blocks)
+    argv = GOLDEN_CSV[["scan-area", "scan-2d", "scan-2d-full"].index(name)][0]
+    out = tmp_path / "scan.csv"
+    code, _, _ = run(capsys, *argv, "--out", str(out))
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GATE_HALF_CSV[name]
 
 
 def test_scan_area_bad_n_list(tmp_path, capsys):
