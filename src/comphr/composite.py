@@ -20,7 +20,8 @@ phase offset to xi_k = phi_k + pi + alpha/2.  Each constituent pulse has
 nominal area pi; at the nominal point the gate is exact for any phase list.
 The second composite is the first conjugated by the drive phase s = pi +
 alpha/2, so the kernel runs a two-level gate's first composite only
-(:func:`_gate_blocks`).
+(:func:`_gate_blocks`), and reads the gate at -Delta from the first
+composite at Delta.
 
 Phase bookkeeping: family phases are stored as exact rational multiples of pi
 (reduced modulo 2) and rendered to floats only when composing propagators;
@@ -178,6 +179,10 @@ def _gate_blocks(bright, seq: GateSequence, areas, detunings, shape: PulseShape,
     with the shift s = pi + alpha/2 of its second composite, so that a
     two-level train runs the first composite only and an (N+1)-level train
     runs all 2n phases as :attr:`GateSequence.pulse_phases` gives them.
+    Every shipped phase list is palindromic, so a two-level gate on pulses
+    whose slices mirror also reads the positive member of each mirrored
+    pair of detunings from its negative partner, and the `cols` of its
+    blocks may be index arrays.
     """
     return _star_blocks(bright, seq.pulse_phases, areas, detunings, shape, substeps,
                         math.pi + 0.5 * seq.alpha)

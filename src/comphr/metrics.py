@@ -57,7 +57,22 @@ class ScanAxis:
             raise ValidationError("axis range must span a finite interval")
 
     def values(self) -> np.ndarray:
-        return np.linspace(self.start, self.stop, int(self.points))
+        """The `points` values from start to stop, evenly spaced as np.linspace spaces them.
+
+        A range symmetric about zero, start == -stop, is symmetric bit for
+        bit: its upper half is the negation of its lower half, and an odd
+        middle is +0.0, so the kernel can read each positive detuning of a
+        two-level gate from its negative partner (``two_level._mirror_pairs``).
+        np.linspace would round the two halves apart.  Every other range is
+        np.linspace.
+        """
+        values = np.linspace(self.start, self.stop, int(self.points))
+        if self.start == -self.stop:
+            half = int(self.points) // 2
+            values[-half:] = -values[half - 1::-1]
+            if self.points % 2:
+                values[half] = 0.0
+        return values
 
 
 @dataclass(frozen=True)
@@ -117,6 +132,8 @@ _NUMBER = "%.17g"
 _CSV_ROWS = 4096
 #: Bytes of a number's field: the longest _NUMBER text, "-2.2250738585072014e-308".
 _FIELD = 24
+#: A field's bytes as one item.
+_FIELD_ITEM = np.dtype(f"V{_FIELD}")
 #: Veltkamp's splitter 2^27 + 1: a * _SPLIT cuts a double into two 26-bit halves.
 _SPLIT = 134217729.0
 
@@ -253,15 +270,17 @@ def _joined_lines(texts: Sequence[np.ndarray]) -> bytearray:
     """The CSV lines of fields given as broadcasting arrays of _number_fields texts.
 
     Each line is built as the fields in _FIELD bytes, each followed by its
-    separator, and the padding of all lines is deleted at once.
+    separator, and the padding of all lines is deleted at once.  A field
+    is copied into its slot as one _FIELD-byte item, not byte by byte.
     """
     shape = np.broadcast_shapes(*(t.shape[:-1] for t in texts))
     buf = bytearray(math.prod(shape) * len(texts) * (_FIELD + 1))
     lines = np.frombuffer(buf, np.uint8).reshape(shape + (len(texts), _FIELD + 1))
     lines[..., _FIELD] = ord(",")
     lines[..., -1, _FIELD] = ord("\n")
+    slots = lines[..., :_FIELD].view(_FIELD_ITEM)[..., 0]
     for k, text in enumerate(texts):
-        lines[..., k, :_FIELD] = text
+        slots[..., k] = text.view(_FIELD_ITEM)[..., 0]
     return buf.translate(None, b" ")
 
 

@@ -41,6 +41,19 @@ the unit of frequency):
   U1 only and combines U1 with its shifted copy in closed form; an
   (N+1)-level gate runs all 2n pulses.
 
+* In the real gauge the star generator obeys Z h(Delta) Z = -h(-Delta),
+  Z = diag(1, ..., 1, -1), so every train satisfies U(-Delta, p) =
+  Z conj(U(Delta, -p)) Z.  When the pulse's slices mirror (one slice, or
+  mirrored envelope samples) and the phases of U1 are palindromic, as
+  those of every shipped family are, the gate at -Delta is
+  Z (U1 A)^dagger Z, with U1 the first composite at Delta and
+  A = D(s) U1 D(s)^dagger.  A two-level gate therefore propagates one
+  column of each pair of detunings Delta, -Delta with equal areas and
+  reads the other from the same U1.  On N + 1 levels the identity needs a
+  second train with negated phases, which would share only the
+  decomposition, so (N+1)-level trains stay direct, and full propagation
+  stays an independent check of the mirrored shortcut.
+
 * A midpoint slice of a shaped two-level pulse is a rectangular pulse of
   Rabi frequency f, the envelope sample, so the kernel multiplies the
   slices in Cayley-Klein form from their closed form and decomposes no
@@ -466,14 +479,13 @@ def _star_blocks(bright, pulse_phases, areas, detunings, shape: PulseShape, subs
     a `shift` s, the train is a gate of 2n pulses whose second composite is
     its first shifted in phase by s, D(s) U1 D(s)^dagger (see
     :class:`comphr.composite.GateSequence`): a two-level train then runs the
-    first n pulses only and combines them (:func:`_two_level_train`), and
-    an (N+1)-level train runs all 2n as passed.  Every
-    input is checked before the first block, `substeps` (1..STACK_ELEMENTS
-    whatever the envelope) and the finiteness of the longest duration times
-    (max |Delta| + 1) among them.  The blocks are those :func:`grid_chunks`
-    derives from N and the slice count, and each block's propagators,
-    (rows, cols, N+1, N+1), are computed on one BLAS thread (see
-    linalg.SERIAL_BLAS).
+    first n pulses only and combines them (:func:`_two_level_gate`), and an
+    (N+1)-level train runs all 2n as passed.  Every input is checked before
+    the first block, `substeps` (1..STACK_ELEMENTS whatever the envelope)
+    and the finiteness of the longest duration times (max |Delta| + 1)
+    among them.  The blocks are those :func:`grid_chunks` derives from N and
+    the slice count, and each block's propagators, (rows, cols, N+1, N+1),
+    are computed on one BLAS thread (see linalg.SERIAL_BLAS).
 
     A block takes one of three branches, in the algebra of the module
     docstring.  A one-slice pulse is read from the eigen-factors of each
@@ -485,8 +497,16 @@ def _star_blocks(bright, pulse_phases, areas, detunings, shape: PulseShape, subs
     a (rows, cols, 2, 2) view.  An (N+1)-level pulse of several slices is
     multiplied out by :func:`slice_product` in the real gauge, one slice
     polynomial per grid point, and its train takes one batched matmul per
-    pulse after the first.  Mirrored envelope samples (:func:`_midpoint_samples`) halve the
-    slices of both.
+    pulse after the first.  Mirrored envelope samples
+    (:func:`_midpoint_samples`) halve the slices of both.
+
+    A two-level gate whose first composite is palindromic, on pulses whose
+    slices mirror, propagates one column of each mirrored pair
+    (:func:`_mirror_pairs`), the negative detuning, and reads its partner's
+    gate from the same first composite (:func:`_two_level_mirror`).  Its
+    blocks then cut the propagated columns, and each is followed by the
+    block of their partners; the `cols` of both are index arrays.  Every
+    other train keeps its slices of the grid's columns.
     """
     coupling = np.asarray(bright, dtype=complex).reshape(-1)
     norm = float(np.linalg.norm(coupling))
@@ -513,11 +533,21 @@ def _star_blocks(bright, pulse_phases, areas, detunings, shape: PulseShape, subs
         phases = phases[:len(phases) // 2]
     count = 1 if shape.kind == RECTANGULAR else int(substeps)
     envelope = _midpoint_samples(shape, count)
-    for rows, cols in grid_chunks(*areas.shape, dim, count):
+    # the detuning mirror needs a palindromic first composite and a pulse
+    # whose slices mirror: one slice, or a mirrored half of the samples
+    direct = partner = None
+    if (dim == 2 and shift is not None and phases == phases[::-1]
+            and envelope.size == (count + 1) // 2):
+        direct, partner = _mirror_pairs(areas, detunings)
+        if direct.size == detunings.size:
+            direct = partner = None
+    columns = areas.shape[1] if direct is None else direct.size
+    for rows, chunk in grid_chunks(areas.shape[0], columns, dim, count):
+        cols = chunk if direct is None else direct[chunk]
         with SERIAL_BLAS:
             t, det = areas[rows, cols] / unit, detunings[cols]
             if dim == 2:
-                block = np.empty((2, 2) + t.shape, dtype=complex).transpose(2, 3, 0, 1)
+                block = _two_level_planes(t.shape)
                 if count == 1:
                     h = _star_generators(coupling, envelope, det[:, None])[:, 0]
                     v, phase = expm_hermitian_stack(h, t)
@@ -527,11 +557,10 @@ def _star_blocks(bright, pulse_phases, areas, detunings, shape: PulseShape, subs
                 else:
                     row = _two_level_slices(envelope, count, det, t)
                     step = np.exp(-1j * (det * t))
-                _two_level_train(*row, step, phases, shift, block)
-                if count > 1:
-                    # the train adds its round-off to the slices'; a second
-                    # rescale to a unit row 0 keeps the product unitary
-                    block /= np.linalg.norm(block[..., 0, :], axis=-1)[..., None, None]
+                train = _two_level_train(*row, step, phases)
+                _two_level_write(*(train if shift is None else _two_level_gate(*train, shift)),
+                                 block)
+                _rescale_slices(block, count)
             elif count == 1:
                 block = np.empty(t.shape + (dim, dim), dtype=complex)
                 h = _star_generators(coupling, envelope, det[:, None])[:, 0]
@@ -543,6 +572,49 @@ def _star_blocks(bright, pulse_phases, areas, detunings, shape: PulseShape, subs
                 g = np.append(np.exp(1j * np.angle(coupling)), 1.0)
                 block = _pulse_train(u * np.multiply.outer(g, g.conj()), phases)
         yield rows, cols, block
+        if direct is None:
+            continue
+        pair = partner[chunk]
+        paired = np.flatnonzero(pair >= 0)
+        if paired.size:
+            with SERIAL_BLAS:
+                if paired.size < pair.size:
+                    train = tuple(part[:, paired] for part in train)
+                block = None  # the yielded block is not held while the next is made
+                block = _two_level_planes(train[0].shape)
+                _two_level_mirror(*train, shift, block)
+                _rescale_slices(block, count)
+            yield rows, pair[paired], block
+
+
+def _mirror_pairs(areas, detunings):
+    """(direct, partner): the columns a two-level gate propagates, and each one's mirrored partner.
+
+    Column k is the partner of column j when Delta_k == -Delta_j < 0 bit for
+    bit and their area columns are equal, so that the gate of k is read from
+    the first composite of j (:func:`_two_level_mirror`).  A column is the
+    partner of one column at most, and every column that is no partner is
+    propagated: `direct` lists them in order, and `partner` holds the
+    partner of each, -1 if it has none.
+    """
+    negative = np.flatnonzero(detunings < 0.0)
+    positive = np.flatnonzero(detunings > 0.0)
+    partner = np.full(detunings.size, -1)
+    if negative.size and positive.size:
+        positive = positive[np.argsort(detunings[positive], kind="stable")]
+        at = np.searchsorted(detunings[positive], -detunings[negative]).clip(max=positive.size - 1)
+        k = positive[at]
+        mirrored = detunings[k] == -detunings[negative]
+        k, first = np.unique(k[mirrored], return_index=True)
+        j = negative[mirrored][first]
+        # the area columns compared in ranges of rows within one block
+        same = np.ones(k.size, dtype=bool)
+        for r in stack_chunks(areas.shape[0], k.size, BLOCK_ELEMENTS):
+            same &= np.all(areas[r, k] == areas[r, j], axis=0)
+        partner[j[same]] = k[same]
+        partner[k[same]] = -2
+    direct = np.flatnonzero(partner != -2)
+    return direct, partner[direct]
 
 
 def _require_substeps(substeps) -> None:
@@ -715,8 +787,22 @@ def _cayley_klein(x2, y2, x1, y1):
     return x2 * x1 - y2 * y1c, x2 * y1 + y2 * x1c
 
 
-def _two_level_train(a, b, step, phases: tuple[float, ...], shift: float | None,
-                     out: np.ndarray) -> None:
+def _two_level_planes(shape) -> np.ndarray:
+    """An empty stack of 2x2 blocks over `shape`, held as four contiguous planes."""
+    return np.empty((2, 2) + shape, dtype=complex).transpose(2, 3, 0, 1)
+
+
+def _rescale_slices(block, count: int) -> None:
+    """Rescale the gates of pulses of several slices to a unit row 0.
+
+    The train adds its round-off to the slices', and a second rescale keeps
+    the product unitary.  A one-slice pulse is left as it is.
+    """
+    if count > 1:
+        block /= np.linalg.norm(block[..., 0, :], axis=-1)[..., None, None]
+
+
+def _two_level_train(a, b, step, phases: tuple[float, ...]):
     """:func:`_pulse_train` of a two-level pulse by elementwise Cayley-Klein updates.
 
     `a` and `b` (rows, cols) are row 0 of the pulse at phase 0, u0 (from
@@ -727,13 +813,7 @@ def _two_level_train(a, b, step, phases: tuple[float, ...], shift: float | None,
     SU(2) matrix, fixed by its row 0 (x, y) and the frame g = f^{2k} =
     e^{-i k Delta T}: its row 1 is (-g conj(y), g conj(x)).  Each pulse,
     with q = b e^{ip}, maps row 0 to (a x - q g conj(y), a y + q g conj(x))
-    and g to g e^{-i Delta T}.
-
-    With a `shift` s the train is a gate: its pulses, U1, are followed by
-    D(s) U1 D(s)^dagger, which scales U1[0, 1] by e^{is} and U1[1, 0] by
-    e^{-is}.  With q = g e^{is}, the gate's row 0 is
-    (x^2 - q |y|^2, y (x + q conj(x))) and its frame g^2.  The product is
-    written into `out`, of shape (rows, cols, 2, 2).
+    and g to g e^{-i Delta T}.  Returns the train's (x, y, g).
     """
     # Every product takes named operands and writes a new array.  numpy rounds
     # a complex product worked in place (or into a large temporary operand,
@@ -747,14 +827,66 @@ def _two_level_train(a, b, step, phases: tuple[float, ...], shift: float | None,
         y = a * y + qg * xc
         del qg, xc, yc
         g = g * step
+    return x, y, g
+
+
+def _two_level_gate(x, y, g, shift: float):
+    """The gate D(s) U1 D(s)^dagger U1 of a first composite U1 with row 0 (x, y) and frame g.
+
+    D(s) U1 D(s)^dagger scales U1[0, 1] by e^{is} and U1[1, 0] by e^{-is},
+    so with q = g e^{is} the gate's row 0 is (x^2 - q |y|^2, y (x + q
+    conj(x))) and its frame g^2.  Every product takes named operands, as in
+    :func:`_two_level_train`.
+    """
     xc, yc = x.conj(), y.conj()
-    if shift is not None:
-        q = g * np.exp(1j * shift)
-        qx, qy = q * xc, q * yc
-        sum_x = x + qx
-        x, y = x * x - qy * y, y * sum_x
-        del q, qx, qy, sum_x
-        g = g * g
-        xc, yc = x.conj(), y.conj()
+    q = g * np.exp(1j * shift)
+    qx, qy = q * xc, q * yc
+    sum_x = x + qx
+    return x * x - qy * y, y * sum_x, g * g
+
+
+def _two_level_mirror(x, y, g, shift: float, out: np.ndarray) -> None:
+    """The gate at -Delta, written into `out`, from the first composite U1 = (x, y, g) at Delta.
+
+    In the real gauge Z h(Delta) Z = -h(-Delta), Z = diag(1, -1), so a train
+    satisfies U(-Delta, p) = Z conj(U(Delta, -p)) Z.  A slice is complex
+    symmetric, so when the slices and the phases of U1 are palindromic the
+    gate at -Delta is Z (U1 A)^dagger Z with A = D(s) U1 D(s)^dagger.  With
+    q' = g e^{-is} and r = g conj(y) (x + q' conj(x)), U1 A has element
+    (0, 0) m = x^2 - q' |y|^2, element (1, 0) -r and frame g^2, so the gate
+    at -Delta has row 0 (conj(m), conj(r)) and frame conj(g^2): its row 1
+    is (-conj(g^2) r, conj(g^2) m).  Every product takes named operands,
+    as in :func:`_two_level_train`, and writes a new array or a plane of
+    `out`, of shape (rows, cols, 2, 2), that none of its operands share.
+    """
+    # the temporaries go as soon as they are used: the block before this one
+    # may still be held
+    xc, yc = x.conj(), y.conj()
+    q = g * np.exp(-1j * shift)
+    qx = q * xc
+    del xc
+    sum_x = x + qx
+    qy = q * yc
+    del q, qx
+    xx, qyy = x * x, qy * y
+    del qy
+    m = xx - qyy
+    del xx, qyy
+    gy = g * yc
+    del yc
+    r = gy * sum_x
+    del gy, sum_x
+    frame = g * g
+    frame = frame.conj()
+    np.conjugate(m, out=out[..., 0, 0])
+    np.conjugate(r, out=out[..., 0, 1])
+    np.multiply(frame, m, out=out[..., 1, 1])
+    frame = -frame
+    np.multiply(frame, r, out=out[..., 1, 0])
+
+
+def _two_level_write(x, y, g, out: np.ndarray) -> None:
+    """Write the 2x2 blocks of row 0 (x, y) and frame g into `out`, of shape (rows, cols, 2, 2)."""
+    xc, yc = x.conj(), y.conj()
     out[..., 0, 0], out[..., 0, 1] = x, y
     out[..., 1, 0], out[..., 1, 1] = -(g * yc), g * xc

@@ -341,19 +341,22 @@ def test_scan_area_deterministic_bytes(tmp_path, capsys):
 #: formatting, changes the digest.  All three digests fail with
 #: OPENBLAS_CORETYPE=Haswell, Sandybridge or Prescott: other BLAS kernels
 #: round some results differently in the last bit.
-#: The two shortcut digests were taken after a two-level gate ran its first
-#: composite only and read its frame from the eigen-phases;
-#: test_shortcut_scans_match_the_reference_path ties them to the three older
-#: paths, and FLAT_TRAIN_CSV holds the digests before.  The full-map digest was taken after
-#: rectangular (N+1)-level trains moved to the eigenbasis train;
-#: test_full_runs_match_the_matmul_path ties it to the matmul path.
+#: The scan-area digest was taken after a two-level gate ran its first
+#: composite only and read its frame from the eigen-phases, and
+#: FLAT_TRAIN_CSV holds its digest before.  The two map digests were taken
+#: after a range symmetric about zero was made bit-symmetric and a two-level
+#: gate column was read from its mirrored partner, and GATE_HALF_CSV holds
+#: their digests before.  test_shortcut_scans_match_the_reference_path ties
+#: the shortcut digests to the four older paths, and
+#: test_full_runs_match_the_matmul_path ties the full-map digest to the
+#: matmul path.
 GOLDEN_CSV = [
     (["scan-area", "--n", "1,3,5,9", "--phi", "pi/2", "--points", "161"],
      "c3bb08a2434f46f3ece5c0f818234deb98d503453ea9056ccaacfa6a24abbb6b"),
     (["scan-2d", "--apoints", "11", "--dpoints", "11"],
-     "ab577b7efe5c26b8568ffc55aeb7d46f1a3625785b3794e15744731ef7d0f875"),
+     "6f50cecd3ce6c73359401ee968ce80ba8e43078dfacd60f22a34133b8050433f"),
     (["scan-2d", "--apoints", "11", "--dpoints", "11", "--full", "--N", "3", "--seed", "7"],
-     "a004621221a8adbfd171a3b28c7b7b9e93084d23b2068e403244467e6cbee3aa"),
+     "98958d32543ecbe9dbcaff9b98d084f88e14a3751d9e3a00ac378774a54e8a7f"),
 ]
 
 
@@ -449,6 +452,25 @@ def flat_train_shortcut(family, hr_phase, areas, detunings):
     return np.abs(u[..., 0, 0] - np.exp(1j * hr_phase))
 
 
+def gate_half_shortcut(family, hr_phase, areas, detunings):
+    """|u00 - e^{i phi}| of the gate-half reference on the whole grid, the reference of the mirror.
+
+    gate_half_blocks on the rectangular two-level gate, which propagates
+    every detuning column, and the bright amplitude against e^{i phi} by
+    np.abs.  The areas are a column or a vector, the detunings a row or a
+    scalar.
+    """
+    seq = gate_sequence(family, 2.0 * hr_phase)
+    dets = np.asarray(detunings, dtype=float).reshape(-1)
+    a = np.asarray(areas, dtype=float).reshape(-1, 1)
+    grid = np.broadcast_to(a, (a.shape[0], dets.size))
+    u = np.empty(grid.shape, dtype=complex)
+    for rows, cols, block in gate_half_blocks((1.0,), seq, grid, dets, rectangular(), 1):
+        u[rows, cols] = block[..., 0, 0]
+    shape = np.broadcast_shapes(np.shape(areas), np.shape(detunings))
+    return np.abs(u - np.exp(1j * hr_phase)).reshape(shape)
+
+
 def reference_scan(families, hr_phase, grid, shortcut=reference_shortcut):
     """The ScanResult of a reference shortcut path on a 1D or 2D grid."""
     areas = grid.axis1.values() * PI
@@ -494,14 +516,16 @@ KERNEL_CSV = {
 
 
 @pytest.mark.parametrize("name", sorted(REFERENCE_CSV))
-def test_reference_shortcut_path_keeps_the_old_digests(name):
+def test_reference_shortcut_path_keeps_the_old_digests(monkeypatch, name):
+    use_linspace_axes(monkeypatch)
     _, families, phi, grid = SHORTCUT_SCANS[name]
     text = reference_scan(families, phi, grid).csv_text()
     assert hashlib.sha256(text.encode()).hexdigest() == REFERENCE_CSV[name]
 
 
 @pytest.mark.parametrize("name", sorted(KERNEL_CSV))
-def test_kernel_shortcut_path_keeps_its_digests(name):
+def test_kernel_shortcut_path_keeps_its_digests(monkeypatch, name):
+    use_linspace_axes(monkeypatch)
     _, families, phi, grid = SHORTCUT_SCANS[name]
     text = reference_scan(families, phi, grid, kernel_shortcut).csv_text()
     assert hashlib.sha256(text.encode()).hexdigest() == KERNEL_CSV[name]
@@ -514,7 +538,8 @@ def test_shortcut_scans_match_the_reference_path(tmp_path, capsys, name):
     code, _, _ = run(capsys, *argv, "--out", str(out))
     assert code == 0
     rows = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
-    for shortcut in (reference_shortcut, kernel_shortcut, flat_train_shortcut):
+    for shortcut in (reference_shortcut, kernel_shortcut, flat_train_shortcut,
+                     gate_half_shortcut):
         reference = reference_scan(families, phi, grid, shortcut).values
         values = rows[:, 1:].T if grid.axis2 is None else rows[:, 2].reshape(reference.shape)
         assert np.max(np.abs(values - reference)) <= 1e-13
@@ -779,6 +804,7 @@ def use_matmul_path(monkeypatch, name):
 
 @pytest.mark.parametrize("name", MATMUL_FULL)
 def test_matmul_full_path_keeps_the_old_digests(tmp_path, capsys, monkeypatch, name):
+    use_linspace_axes(monkeypatch)
     use_matmul_path(monkeypatch, name)
     text = full_run_output(tmp_path, capsys, name)
     assert hashlib.sha256(text.encode()).hexdigest() == MATMUL_FULL[name]
@@ -847,6 +873,7 @@ CAYLEY_KLEIN_CSV = {
 
 @pytest.mark.parametrize("name", sorted(CAYLEY_KLEIN_CSV))
 def test_cayley_klein_shortcut_path_keeps_the_old_digests(tmp_path, capsys, monkeypatch, name):
+    use_linspace_axes(monkeypatch)
     use_reference(monkeypatch, "metrics", cayley_klein_star_propagator)
     out = tmp_path / "scan.csv"
     code, _, _ = run(capsys, *SHORTCUT_SCANS[name][0], "--out", str(out))
@@ -866,6 +893,7 @@ FLAT_TRAIN_CSV = {
 
 @pytest.mark.parametrize("name", sorted(FLAT_TRAIN_CSV))
 def test_flat_train_shortcut_path_keeps_the_old_digests(tmp_path, capsys, monkeypatch, name):
+    use_linspace_axes(monkeypatch)
     use_reference(monkeypatch, "metrics", flat_two_level_star_propagator)
     out = tmp_path / "scan.csv"
     code, _, _ = run(capsys, *SHORTCUT_SCANS[name][0], "--out", str(out))

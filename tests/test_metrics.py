@@ -33,6 +33,8 @@ from comphr import (
     universal_phases,
 )
 
+from test_cli import gate_half_blocks
+
 PI = np.pi
 
 
@@ -170,6 +172,53 @@ def test_scan_grid_holds_at_most_stack_elements_points():
         ScanGrid(ScanAxis(AXIS_AREA, 0.0, 2.0, 1024), ScanAxis(AXIS_DETUNING, -1.0, 1.0, 1025))
 
 
+#: Ranges symmetric about zero, as (stop, points) of [-stop, stop].
+SYMMETRIC_RANGES = [(2.0, 2), (2.0, 3), (2.0, 11), (2.0, 301), (1.0, 4000), (3.7, 1234),
+                    (1e-300, 7), (1e300, 9)]
+#: Ranges that are not, as (start, stop, points).
+OTHER_RANGES = [(0.0, 2.0, 161), (-1.0, 2.0, 31), (-2.0, np.nextafter(2.0, 3.0), 301),
+                (-3.0, 1.0, 101), (0.5, 1.5, 15)]
+
+
+def test_a_symmetric_axis_mirrors_bit_for_bit():
+    # the upper half is the negated lower half, an odd middle is +0.0 and
+    # prints 0, and each value lies within 4 ulp(1) |stop| of np.linspace
+    for stop, points in SYMMETRIC_RANGES:
+        values = ScanAxis(AXIS_DETUNING, -stop, stop, points).values()
+        half = points // 2
+        assert values[-half:].tobytes() == (-values[half - 1::-1]).tobytes()
+        assert values[0] == -stop and values[-1] == stop
+        if points % 2:
+            assert values[half] == 0.0 and not np.signbit(values[half])
+        linspace = np.linspace(-stop, stop, points)
+        assert np.max(np.abs(values - linspace)) <= 4 * 2.0 ** -52 * stop
+    grid = ScanGrid(ScanAxis(AXIS_AREA, 0.0, 1.0, 2), ScanAxis(AXIS_DETUNING, -2.0, 2.0, 301))
+    lines = ScanResult(grid, ("n1",), np.zeros((2, 301))).csv_text().splitlines()
+    assert lines[1 + 150].split(",")[1] == "0"
+    for start, stop, points in OTHER_RANGES:
+        values = ScanAxis(AXIS_DETUNING, start, stop, points).values()
+        assert values.tobytes() == np.linspace(start, stop, points).tobytes()
+
+
+@pytest.mark.parametrize("dpoints, pairs", [(41, 0), (31, 3)])
+def test_a_map_over_an_asymmetric_range_mirrors_only_its_exact_pairs(monkeypatch, dpoints, pairs):
+    # On Delta in [-1, 2] the axis is np.linspace.  Its 41 points hold no
+    # pair that mirrors bit for bit, so the map keeps the bits of the
+    # gate-half reference.  Its 31 points hold three, whose positive members
+    # are read from their partners and meet the reference at 1e-13, and every
+    # other column keeps its bits.
+    grid = ScanGrid(ScanAxis(AXIS_AREA, 0.0, 2.0, 21), ScanAxis(AXIS_DETUNING, -1.0, 2.0, dpoints))
+    dets = grid.axis2.values()
+    mirrored = (dets > 0.0) & np.isin(dets, -dets)
+    assert np.count_nonzero(mirrored) == pairs
+    fam = universal_phases(5, 2)
+    values = scan_2d(fam, PI, grid).values
+    monkeypatch.setattr(metrics, "_gate_blocks", gate_half_blocks)
+    reference = scan_2d(fam, PI, grid).values
+    assert np.array_equal(values[:, ~mirrored], reference[:, ~mirrored])
+    assert np.max(np.abs(values - reference)) <= 1e-13
+
+
 # --- 2D scans ---------------------------------------------------------------------------
 
 def grid_2d(points=11):
@@ -253,12 +302,17 @@ def test_full_scan_memory_is_bounded_by_the_stack_chunk(monkeypatch):
 
 def test_a_long_scan_holds_one_kernel_block_besides_its_result():
     # each grid holds 2^20 propagator elements, 32 blocks' worth: 2^18 areas
-    # of one two-level column, and 2^16 areas of two 4-level columns
+    # of one two-level column, 2^16 areas of two 4-level columns, and 2^17
+    # areas of two mirrored two-level columns, the one propagated in ranges
+    # of rows and each range's partner read from it
     area = area_grid(1 << 18)
     full = ScanGrid(ScanAxis(AXIS_AREA, 0.0, 2.0, 1 << 16), ScanAxis(AXIS_DETUNING, -1.0, 1.0, 2))
+    mirrored = ScanGrid(ScanAxis(AXIS_AREA, 0.0, 2.0, 1 << 17),
+                        ScanAxis(AXIS_DETUNING, -1.0, 1.0, 2))
     system = random_system(3, seed=1)
     for grid, run in ((area, lambda: scan_area([bb_phases(9)], PI, area)),
-                      (full, lambda: scan_2d(bb_phases(9), PI, full, system=system))):
+                      (full, lambda: scan_2d(bb_phases(9), PI, full, system=system)),
+                      (mirrored, lambda: scan_2d(bb_phases(9), PI, mirrored))):
         result, peak = traced_peak(run)
         # the result and the areas, and at most 8 block-sized stacks besides
         held = result.values.nbytes + grid.axis1.values().nbytes
@@ -305,10 +359,12 @@ def generators_past_the_series_radius(grid, substeps):
 def test_each_scan_decomposes_each_detuning_once(monkeypatch):
     # Rectangular pulses are read from the eigen-factors of their one slice;
     # shaped pulses decompose nothing but the (N+1)-level generators of the
-    # columns with a point past the Taylor series' radius.
+    # columns with a point past the Taylor series' radius.  A two-level map
+    # over a range symmetric about zero reads each positive detuning from
+    # its negative partner: 150 pairs and Delta = 0 make 151.
     calls = record_stacks(monkeypatch)
     scan_2d(universal_phases(5, 2), PI, grid_2d(301))
-    assert sum(n for n, _ in calls) == 301
+    assert sum(n for n, _ in calls) == 151
     calls.clear()
     scan_area([bb_phases(n) for n in (1, 3, 5, 9)], PI / 2, area_grid(161))
     assert [n for n, _ in calls] == [1] * 4

@@ -28,8 +28,8 @@ from comphr import (
 )
 
 from oracle import rk4_propagator, two_level_hamiltonian
-from test_cli import (flat_two_level_star_propagator, matmul_shaped_star_propagator,
-                      matmul_star_propagator)
+from test_cli import (flat_two_level_star_propagator, gate_half_blocks,
+                      matmul_shaped_star_propagator, matmul_star_propagator)
 from test_linalg import expm_hermitian_stack
 
 PI = np.pi
@@ -656,12 +656,19 @@ GATE_SHAPES = {"rectangular": (rectangular(), 1)} | {
     for name, shape in (("gaussian", gaussian()), ("sin2", SIN2)) for substeps in (1, 2, 7, 1000)}
 
 
+#: Gate areas from 0 to 3 pi, and detunings whose last three mirror the
+#: three nonzero ones before them.
+GATE_AREAS = np.array([[0.0], [0.5 * PI], [PI], [1.1 * PI], [2 * PI], [3 * PI]])
+GATE_DETUNINGS = np.array([0.0, 0.1, -0.3, 2.0, -0.1, 0.3, -2.0])
+
+
 @pytest.mark.parametrize("shape, substeps", GATE_SHAPES.values(), ids=GATE_SHAPES.keys())
 def test_gate_half_matches_the_flat_train(shape, substeps):
     # every two-level gate: the ten families at three gate phases, against
-    # the train of all 2n pulses that ran every two-level gate before
-    areas = np.array([[0.0], [0.5 * PI], [PI], [1.1 * PI], [2 * PI], [3 * PI]])
-    dets = np.array([0.0, 0.1, -0.3, 2.0])
+    # the train of all 2n pulses that ran every two-level gate before; the
+    # columns that mirror their partner (all but sin^2 from two slices on)
+    # meet it too
+    areas, dets = GATE_AREAS, GATE_DETUNINGS
     for fam in GATE_FAMILIES:
         for alpha in (PI / 2, PI, 2 * PI):
             seq = gate_sequence(fam, alpha)
@@ -669,6 +676,61 @@ def test_gate_half_matches_the_flat_train(shape, substeps):
             reference = flat_two_level_star_propagator((1.0,), seq.pulse_phases, areas, dets,
                                                        shape, substeps)
             assert np.max(np.abs(u - reference)) <= 1e-13, (fam.label, alpha)
+
+
+def gate_half_grid(seq, areas, dets, shape, substeps):
+    """The two-level gate `seq` over areas (rows, 1) x dets (cols,) by the gate-half reference."""
+    grid = np.broadcast_to(areas, (len(areas), dets.size))
+    out = np.empty(grid.shape + (2, 2), dtype=complex)
+    for rows, cols, block in gate_half_blocks((1.0,), seq, grid, dets, shape, substeps):
+        out[rows, cols] = block
+    return out
+
+
+def record_trains(monkeypatch):
+    """Route two_level._two_level_train through a recorder of the columns each call propagates."""
+    columns = []
+    train = two_level._two_level_train
+
+    def recorded(a, *args):
+        columns.append(a.shape[1])
+        return train(a, *args)
+
+    monkeypatch.setattr(two_level, "_two_level_train", recorded)
+    return columns
+
+
+@pytest.mark.parametrize("shape, substeps", GATE_SHAPES.values(), ids=GATE_SHAPES.keys())
+def test_the_detuning_mirror_leaves_every_propagated_column_its_bits(monkeypatch, shape,
+                                                                     substeps):
+    # The kernel propagates Delta = 0 and the negative member of each pair,
+    # and keeps the bits of the gate-half
+    # reference there.  sin^2 from two slices on does not mirror its samples
+    # bit for bit, so it propagates and keeps every column.
+    mirrors = shape.kind != "tabulated" or substeps == 1
+    propagated = GATE_DETUNINGS <= 0.0 if mirrors else np.ones(GATE_DETUNINGS.size, dtype=bool)
+    columns = record_trains(monkeypatch)
+    for fam in GATE_FAMILIES:
+        for alpha in (PI / 2, PI, 2 * PI):
+            seq = gate_sequence(fam, alpha)
+            columns.clear()
+            u = gate_grid((1.0,), seq, GATE_AREAS, GATE_DETUNINGS, shape, substeps)
+            assert sum(columns) == np.count_nonzero(propagated)
+            reference = gate_half_grid(seq, GATE_AREAS, GATE_DETUNINGS, shape, substeps)
+            assert np.array_equal(u[:, propagated], reference[:, propagated]), (fam.label, alpha)
+
+
+def test_mirrored_gates_match_the_rk4_oracle():
+    # both members of two mirrored pairs of a u5v2 gate, against RK4 on each
+    # of its 10 rectangular pulses
+    seq = gate_sequence(universal_phases(5, 2), PI)
+    area, dets = 1.1 * PI, np.array([-1.5, -0.3, 0.3, 1.5])
+    u = gate_grid((1.0,), seq, np.array([[area]]), dets)[0]
+    for k, det in enumerate(dets):
+        u_rk4 = np.eye(2, dtype=complex)
+        for p in seq.pulse_phases:
+            u_rk4 = rk4_propagator(two_level_hamiltonian(1.0, det, p), 0.0, area, 2000) @ u_rk4
+        assert np.max(np.abs(u[k] - u_rk4)) <= 1e-10
 
 
 @pytest.mark.parametrize("shape, rows, cols, substeps", [(rectangular(), 9, 4001, 1),
