@@ -590,8 +590,8 @@ def _star_blocks(bright, pulse_phases, areas, detunings, shape: PulseShape, subs
 def _mirror_pairs(areas, detunings):
     """(direct, partner): the columns a two-level gate propagates, and each one's mirrored partner.
 
-    Column k is the partner of column j when Delta_k == -Delta_j < 0 bit for
-    bit and their area columns are equal, so that the gate of k is read from
+    Column k is the partner of column j when Delta_j < 0, Delta_k == -Delta_j
+    bit for bit and their area columns are equal, so that the gate of k is read from
     the first composite of j (:func:`_two_level_mirror`).  A column is the
     partner of one column at most, and every column that is no partner is
     propagated: `direct` lists them in order, and `partner` holds the
@@ -793,7 +793,7 @@ def _two_level_planes(shape) -> np.ndarray:
 
 
 def _rescale_slices(block, count: int) -> None:
-    """Rescale the gates of pulses of several slices to a unit row 0.
+    """Rescale the trains of pulses of several slices to a unit row 0, in place.
 
     The train adds its round-off to the slices', and a second rescale keeps
     the product unitary.  A one-slice pulse is left as it is.

@@ -639,11 +639,12 @@ def test_an_n_level_gate_at_the_slice_limit_stays_within_its_stacks():
 
 # --- gates: the first composite and its phase-shifted copy ----------------------
 
-def gate_grid(bright, seq, areas, dets, shape=rectangular(), substeps=1000):
-    """The gate `seq` over areas (rows, 1) x dets (cols,) by the kernel's gate path."""
+def gate_grid(bright, seq, areas, dets, shape=rectangular(), substeps=1000, blocks=None):
+    """The gate `seq` over areas (rows, 1) x dets (cols,) by the kernel's gate path, or `blocks`."""
     grid = np.broadcast_to(areas, (len(areas), dets.size))
     out = np.empty(grid.shape + (np.size(bright) + 1,) * 2, dtype=complex)
-    for rows, cols, block in composite._gate_blocks(bright, seq, grid, dets, shape, substeps):
+    blocks = composite._gate_blocks if blocks is None else blocks
+    for rows, cols, block in blocks(bright, seq, grid, dets, shape, substeps):
         out[rows, cols] = block
     return out
 
@@ -678,15 +679,6 @@ def test_gate_half_matches_the_flat_train(shape, substeps):
             assert np.max(np.abs(u - reference)) <= 1e-13, (fam.label, alpha)
 
 
-def gate_half_grid(seq, areas, dets, shape, substeps):
-    """The two-level gate `seq` over areas (rows, 1) x dets (cols,) by the gate-half reference."""
-    grid = np.broadcast_to(areas, (len(areas), dets.size))
-    out = np.empty(grid.shape + (2, 2), dtype=complex)
-    for rows, cols, block in gate_half_blocks((1.0,), seq, grid, dets, shape, substeps):
-        out[rows, cols] = block
-    return out
-
-
 def record_trains(monkeypatch):
     """Route two_level._two_level_train through a recorder of the columns each call propagates."""
     columns = []
@@ -704,9 +696,9 @@ def record_trains(monkeypatch):
 def test_the_detuning_mirror_leaves_every_propagated_column_its_bits(monkeypatch, shape,
                                                                      substeps):
     # The kernel propagates Delta = 0 and the negative member of each pair,
-    # and keeps the bits of the gate-half
-    # reference there.  sin^2 from two slices on does not mirror its samples
-    # bit for bit, so it propagates and keeps every column.
+    # and keeps the bits of the gate-half reference there.  sin^2 from two
+    # slices on does not mirror its samples bit for bit, so it propagates
+    # and keeps every column.
     mirrors = shape.kind != "tabulated" or substeps == 1
     propagated = GATE_DETUNINGS <= 0.0 if mirrors else np.ones(GATE_DETUNINGS.size, dtype=bool)
     columns = record_trains(monkeypatch)
@@ -716,7 +708,8 @@ def test_the_detuning_mirror_leaves_every_propagated_column_its_bits(monkeypatch
             columns.clear()
             u = gate_grid((1.0,), seq, GATE_AREAS, GATE_DETUNINGS, shape, substeps)
             assert sum(columns) == np.count_nonzero(propagated)
-            reference = gate_half_grid(seq, GATE_AREAS, GATE_DETUNINGS, shape, substeps)
+            reference = gate_grid((1.0,), seq, GATE_AREAS, GATE_DETUNINGS, shape, substeps,
+                                  gate_half_blocks)
             assert np.array_equal(u[:, propagated], reference[:, propagated]), (fam.label, alpha)
 
 
