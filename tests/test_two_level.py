@@ -713,6 +713,24 @@ def test_the_detuning_mirror_leaves_every_propagated_column_its_bits(monkeypatch
             assert np.array_equal(u[:, propagated], reference[:, propagated]), (fam.label, alpha)
 
 
+def test_mirror_pairs_need_equal_area_columns(monkeypatch):
+    # -1 and 1 see different areas, so both are propagated, and only 0.5 is
+    # read from -0.5
+    seq = gate_sequence(universal_phases(5, 2), PI)
+    areas = np.array([[1.0, 1.0, 2.0, 2.5], [3.0, 3.0, 1.0, 1.0]])
+    dets = np.array([-0.5, 0.5, -1.0, 1.0])
+    columns = record_trains(monkeypatch)
+    grids = []
+    for blocks in (composite._gate_blocks, gate_half_blocks):
+        u = np.empty(areas.shape + (2, 2), dtype=complex)
+        for rows, cols, block in blocks((1.0,), seq, areas, dets, rectangular(), 1):
+            u[rows, cols] = block
+        grids.append(u)
+    assert sum(columns) == 3
+    assert np.array_equal(grids[0][:, [0, 2, 3]], grids[1][:, [0, 2, 3]])
+    assert np.max(np.abs(grids[0] - grids[1])) <= 1e-13
+
+
 def test_mirrored_gates_match_the_rk4_oracle():
     # both members of two mirrored pairs of a u5v2 gate, against RK4 on each
     # of its 10 rectangular pulses
